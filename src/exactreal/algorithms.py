@@ -15,20 +15,17 @@ from typing import Callable
 from .creal import (
     CReal,
     ZERO_REAL,
+    _doubling,
     _mag_exp,
     less_than,
     limit,
+    limit_refine,
+    refinement_terms,
     split,
 )
 from .dyadic import Dyadic
 from .errors import EffortExhausted
-from .kleenean import (
-    Branch,
-    _select_with_effort,
-    resolve_budget,
-    select,
-    select_index,
-)
+from .kleenean import Branch, _select_with_effort, select, select_index
 
 # -- maximum and absolute value ---------------------------------------
 
@@ -111,55 +108,55 @@ def ivt_trisect(
     b,
     budget: int | None = None,
 ) -> CReal:
-    """The unique zero of ``f`` on [a, b], given f(a) < 0 < f(b).
+    """The unique zero of ``f`` on [a, b], given f(a) < 0 < f(b) or
+    f(a) > 0 > f(b); the first step certifies which, and trisects -f in
+    the second case.
 
-    Each step moves one bracket end to a trisection point, certified by
-    the sign of an endpoint product, so the uncomputable comparison of
-    f against 0 is never needed; the bracket shrinks by 2/3 per step.
-    Endpoints are kept as exact rationals.
+    With g(a) < 0 < g(b), each step moves one bracket end to a
+    trisection point a1 < b1 by certifying g(a1) < 0 or 0 < g(b1), so
+    the uncomputable comparison of g against 0 is never needed; the
+    bracket shrinks by 2/3 per step.  Endpoints are exact rationals.
     """
     a = _to_fraction(a)
     b = _to_fraction(b)
     if not a < b:
         raise ValueError("invalid bracket: need a < b")
-    state = {
-        "a": a,
-        "b": b,
-        "fa": f(CReal.from_fraction(a)),
-        "fb": f(CReal.from_fraction(b)),
-        "effort": 0,  # certification effort grows smoothly with the step count
-    }
 
-    def advance(target: Fraction):
-        while state["b"] - state["a"] > target:
-            a0, b0 = state["a"], state["b"]
-            a1 = (2 * a0 + b0) / 3
-            b1 = (a0 + 2 * b0) / 3
-            fa1 = f(CReal.from_fraction(a1))
-            fb1 = f(CReal.from_fraction(b1))
+    def step(n: int, mid: CReal, hint):
+        a, b, effort, sign = hint
+        if sign is None:
+            fa, fb = f(CReal.from_fraction(a)), f(CReal.from_fraction(b))
+            rising = less_than(fa, ZERO_REAL) & less_than(ZERO_REAL, fb)
+            falling = less_than(ZERO_REAL, fa) & less_than(fb, ZERO_REAL)
+            sign = 1 if select(rising, falling, budget) is Branch.LEFT else -1
+        g = f if sign > 0 else (lambda x: -f(x))
+        target = Fraction(1, 1 << n)
+        while b - a > target:
+            a1 = (2 * a + b) / 3
+            b1 = (a + 2 * b) / 3
+            # certification effort grows smoothly with the step count
             winner, effort = _select_with_effort(
                 (
-                    less_than(fa1 * state["fb"], ZERO_REAL),
-                    less_than(state["fa"] * fb1, ZERO_REAL),
+                    less_than(g(CReal.from_fraction(a1)), ZERO_REAL),
+                    less_than(ZERO_REAL, g(CReal.from_fraction(b1))),
                 ),
                 budget,
-                max(0, state["effort"] - 1),
+                max(0, effort - 1),
             )
-            state["effort"] = effort
             if winner == 0:
-                state["a"], state["fa"] = a1, fa1
+                a = a1
             else:
-                state["b"], state["fb"] = b1, fb1
+                b = b1
+        return CReal.from_fraction((a + b) / 2), (a, b, effort, sign)
 
-    def term(n: int) -> CReal:
-        advance(Fraction(1, 1 << n))
-        mid = (state["a"] + state["b"]) / 2
-        return CReal.from_fraction(mid)
-
-    return limit(term)
+    return limit_refine(CReal.from_fraction((a + b) / 2), (a, b, 0, None), step)
 
 
 # -- real square root --------------------------------------------------
+
+
+def _heron_step(x: CReal, h: CReal) -> CReal:
+    return (h + x / h).scale2(-1)
 
 
 def heron(x, n: int) -> CReal:
@@ -167,27 +164,23 @@ def heron(x, n: int) -> CReal:
     x = CReal._coerce(x)
     h = CReal.from_int(1)
     for _ in range(n):
-        h = (h + x / h).scale2(-1)
+        h = _heron_step(x, h)
     return h
 
 
 def sqrt_restricted(x) -> CReal:
     """sqrt(x) for x in [0.25, 2], via quadratically convergent Heron
-    iterates: |heron(x, k) - sqrt(x)| <= 2**-2**k on that range."""
+    iterates: |heron(x, k) - sqrt(x)| <= 2**-2**k on that range.  Each
+    iterate is built on the last, so nodes and caches stay shared."""
     x = CReal._coerce(x)
-    iterates = [CReal.from_int(1)]
 
-    def iterate(k: int) -> CReal:
-        while len(iterates) <= k:
-            h = iterates[-1]
-            iterates.append((h + x / h).scale2(-1))
-        return iterates[k]
-
-    def term(n: int) -> CReal:
+    def step(n: int, h: CReal, k: int):
         # smallest k with 2**2**k <= 2**-n slack: 2**k > n + 2
-        return iterate((n + 2).bit_length())
+        while k < (n + 2).bit_length():
+            h, k = _heron_step(x, h), k + 1
+        return h, k
 
-    return limit(term)
+    return limit_refine(CReal.from_int(1), 0, step)
 
 
 _SCALE_LO = Dyadic(1, -2)
@@ -202,9 +195,7 @@ def sqrt_scale(x, budget: int | None = None) -> tuple[int, CReal]:
     copy are certified.  Raises ``EffortExhausted`` when x <= 0.
     """
     x = CReal._coerce(x)
-    budget = resolve_budget(budget)
-    q = 2
-    while True:
+    for q in _doubling(2, budget, "scaling into [0.25, 2]"):
         iv = x.approx(q)
         if iv.lo.sign > 0:
             # 4**z pushes hi into (1/2, 2]
@@ -213,9 +204,24 @@ def sqrt_scale(x, budget: int | None = None) -> tuple[int, CReal]:
                 s = iv.scale2(2 * cand)
                 if s.lo >= _SCALE_LO and s.hi <= _SCALE_HI:
                     return cand, x.scale2(2 * cand)
-        if q >= budget:
-            raise EffortExhausted(budget, "scaling into [0.25, 2]")
-        q = min(budget, 2 * q)
+
+
+def _zero_until_pinned(small, nonzero, root, zero, budget):
+    """Refinement step with terms 0, ..., 0, r, r, ...: index n emits
+    ``zero`` while ``small(n)`` certifies it within 2**-n of every root;
+    once ``nonzero`` is certified instead, ``root()`` is pinned as the
+    hint for all later indices, so the limit is one root, never a blend.
+    """
+
+    def step(n: int, x, pinned):
+        if pinned is not None:
+            return pinned, pinned
+        if select(small(n), nonzero, budget) is Branch.LEFT:
+            return zero, None
+        r = root()
+        return r, r
+
+    return step
 
 
 def real_sqrt(x, budget: int | None = None) -> CReal:
@@ -227,21 +233,17 @@ def real_sqrt(x, budget: int | None = None) -> CReal:
     case is certifiable and the effort budget is exhausted.
     """
     x = CReal._coerce(x)
-    chosen: list[CReal] = []
 
-    def term(n: int) -> CReal:
-        if chosen:
-            return chosen[0]
+    def small(n: int):
         bound = CReal.from_dyadic(Dyadic(1, -2 * n))
-        small = less_than(x, bound) & less_than(-bound, x)
-        br = select(small, less_than(ZERO_REAL, x), budget)
-        if br is Branch.RIGHT:
-            z, scaled = sqrt_scale(x, budget)
-            chosen.append(sqrt_restricted(scaled).scale2(-z))
-            return chosen[0]
-        return ZERO_REAL
+        return less_than(x, bound) & less_than(-bound, x)
 
-    return limit(term)
+    def root() -> CReal:
+        z, scaled = sqrt_scale(x, budget)
+        return sqrt_restricted(scaled).scale2(-z)
+
+    step = _zero_until_pinned(small, less_than(ZERO_REAL, x), root, ZERO_REAL, budget)
+    return limit_refine(ZERO_REAL, None, step)
 
 
 # -- complex numbers ---------------------------------------------------
@@ -313,28 +315,17 @@ def csqrt(z: Complex, budget: int | None = None) -> Complex:
     certifiable the sequence emits 0; once |z| > 0 is certified a
     concrete root is computed and pinned, so every run converges to a
     single root (never a blend).  All possible output sequences look
-    like 0, 0, ..., 0, x, x, ...
+    like 0, 0, ..., 0, x, x, ...  The real and imaginary parts are
+    limits of the same memoized terms, so both come from that one root.
     """
     nrm = z.norm(budget)
-    zero = ZERO_REAL
-    terms: list[Complex] = []
-    chosen: list[Complex] = []
+    zero = Complex(0, 0)
 
-    def term(n: int) -> Complex:
-        while len(terms) <= n:
-            k = len(terms)
-            if chosen:
-                terms.append(chosen[0])
-                continue
-            small = less_than(nrm, CReal.from_dyadic(Dyadic(1, -2 * (k + 2))))
-            br = select(small, less_than(zero, nrm), budget)
-            if br is Branch.RIGHT:
-                chosen.append(csqrt_nonzero(z, budget))
-                terms.append(chosen[0])
-            else:
-                terms.append(Complex(0, 0))
-        return terms[n]
+    def small(n: int):
+        return less_than(nrm, CReal.from_dyadic(Dyadic(1, -2 * (n + 2))))
 
-    re = limit(lambda n: term(n).re)
-    im = limit(lambda n: term(n).im)
-    return Complex(re, im)
+    step = _zero_until_pinned(
+        small, less_than(ZERO_REAL, nrm), lambda: csqrt_nonzero(z, budget), zero, budget
+    )
+    term = refinement_terms(zero, None, step)
+    return Complex(limit(lambda n: term(n).re), limit(lambda n: term(n).im))

@@ -14,7 +14,7 @@ from .creal import CReal, to_decimal
 from .dyadic import Dyadic
 from .errors import EffortExhausted, ParseError
 from .expr import evaluate, parse
-from .kleenean import DEFAULT_BUDGET, set_default_budget
+from .kleenean import DEFAULT_BUDGET, resolve_budget, set_default_budget
 
 # bits <-> decimal digits, using rational over/under-estimates of log2(10)
 def _digits_for_bits(bits: int) -> int:
@@ -198,7 +198,7 @@ def _cmd_bench(args) -> int:
                 f"name={name} bits={bits} seconds={mean:.6f} "
                 f"verified={'true' if verified else 'false'}"
             )
-    return 0
+    return 1 if any_failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,6 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    previous_budget = resolve_budget(None)
     set_default_budget(args.budget)
     try:
         return args.func(args)
@@ -260,6 +261,8 @@ def main(argv=None) -> int:
     except EffortExhausted as exc:
         print(f"effort exhausted: {exc}", file=sys.stderr)
         return 2
+    finally:
+        set_default_budget(previous_budget)
 
 
 if __name__ == "__main__":

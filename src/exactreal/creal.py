@@ -157,40 +157,40 @@ class CReal:
         return to_decimal(self, digits)
 
 
-def _refined(
-    p: int,
-    raw: Callable[[int], Interval],
-    budget: "int | None",
-    what: str,
-) -> Interval:
+def _doubling(start: int, budget: "int | None", what: str):
+    """Working precisions start, 2*start, 4*start, ... capped at the
+    budget; raises ``EffortExhausted`` once the budget itself was tried."""
+    budget = resolve_budget(budget)
+    q = start
+    while True:
+        yield q
+        if q >= budget:
+            raise EffortExhausted(budget, what)
+        q = min(budget, 2 * q)
+
+
+def _refined(p: int, raw: Callable[[int], Interval], what: str) -> Interval:
     """Precision iteration: retry ``raw`` at doubling internal accuracy
     until the result is tight enough, then round onto the 2**-(p+2)
     grid to keep mantissas bounded."""
-    budget = resolve_budget(budget)
     target = Dyadic(1, -(p + 1))
-    q = p + 4
-    while True:
+    for q in _doubling(p + 4, None, what):
         try:
             iv = raw(q)
             if iv.width() <= target:
                 return iv.round_out_grid(p + 2)
         except DivisorStraddlesZero:
             pass
-        if q >= budget:
-            raise EffortExhausted(budget, what)
-        q = min(budget, 2 * q)
 
 
-def _binary(x: CReal, y: CReal, combine, what: str, budget: int | None = None):
+def _binary(x: CReal, y: CReal, combine, what: str):
     def fn(p: int) -> Interval:
-        return _refined(p, lambda q: combine(x.approx(q), y.approx(q), q), budget, what)
+        return _refined(p, lambda q: combine(x.approx(q), y.approx(q), q), what)
 
     return CReal(fn)
 
 
 def _div_intervals(a: Interval, b: Interval, q: int) -> Interval:
-    if b.straddles_zero():
-        raise DivisorStraddlesZero(f"divisor {b} contains zero")
     # enough significant bits that relative rounding error stays below 2**-(q+2)
     num_mag = max(_mag_exp(a.lo), _mag_exp(a.hi))
     den_mag = min(_mag_exp(b.lo), _mag_exp(b.hi)) - 1
@@ -239,39 +239,42 @@ def split(x, y, eps, budget: int | None = None) -> Branch:
 def limit(f: Callable[[int], CReal]) -> CReal:
     """Limit of a fast Cauchy sequence: |f(n) - lim| <= 2**-n.
 
-    The sequence is queried once per index and memoized, so stateful
-    generators (refinement loops) see a consistent history.
+    Accuracy p asks for the single term f(p + 2); the node's cache
+    answers every coarser query, so no term is asked for twice.
     """
-    memo: dict[int, CReal] = {}
-
-    def term(n: int) -> CReal:
-        if n not in memo:
-            memo[n] = f(n)
-        return memo[n]
 
     def fn(p: int) -> Interval:
-        iv = term(p + 2).approx(p + 2).widen(Dyadic(1, -(p + 2)))
+        iv = f(p + 2).approx(p + 2).widen(Dyadic(1, -(p + 2)))
         return iv.round_out_grid(p + 3)
 
     return CReal(fn)
 
 
-def limit_refine(seed: CReal, seed_hint, step) -> CReal:
-    """Limit of a self-refining nondeterministic sequence.
+def refinement_terms(seed, seed_hint, step) -> Callable[[int], object]:
+    """Memoized terms of a self-refining nondeterministic sequence.
 
-    ``step(n, x_n, hint_n) -> (x_{n+1}, hint_{n+1})`` must keep
-    consecutive terms within 2**-(n+1); the hint records the choices
-    already made so later steps stay on the same candidate.
+    ``step(n, x, hint) -> (x_n, hint_n)`` runs once for each index n
+    asked for, and for no other, with the latest term and hint; the hint
+    records the choices made, so later steps stay on one candidate.
+    Each x_n lies within 2**-n of the limit, in any order of requests.
     """
-    terms: list[tuple[CReal, object]] = [(seed, seed_hint)]
+    memo: dict[int, object] = {}
+    latest = (seed, seed_hint)
 
-    def f(n: int) -> CReal:
-        while len(terms) <= n:
-            k = len(terms) - 1
-            terms.append(step(k, terms[k][0], terms[k][1]))
-        return terms[n][0]
+    def term(n: int):
+        nonlocal latest
+        if n not in memo:
+            latest = step(n, *latest)
+            memo[n] = latest[0]
+        return memo[n]
 
-    return limit(f)
+    return term
+
+
+def limit_refine(seed: CReal, seed_hint, step) -> CReal:
+    """Limit of a self-refining nondeterministic sequence of reals; see
+    ``refinement_terms`` for the contract of ``step``."""
+    return limit(refinement_terms(seed, seed_hint, step))
 
 
 # -- rounding to integers and decimals ---------------------------------
@@ -279,9 +282,7 @@ def limit_refine(seed: CReal, seed_hint, step) -> CReal:
 
 def round_nd(x: CReal, budget: int | None = None) -> int:
     """Nondeterministic rounding: some integer z with z-1 < x < z+1."""
-    budget = resolve_budget(budget)
-    q = 2
-    while True:
+    for q in _doubling(2, budget, "rounding to an integer"):
         iv = x.approx(q)
         # nearest integer to the midpoint
         mid = iv.midpoint()
@@ -289,9 +290,6 @@ def round_nd(x: CReal, budget: int | None = None) -> int:
         z_int = z.mantissa << max(z.exponent, 0)
         if Dyadic(z_int - 1) < iv.lo and iv.hi < Dyadic(z_int + 1):
             return z_int
-        if q >= budget:
-            raise EffortExhausted(budget, "rounding to an integer")
-        q = min(budget, 2 * q)
 
 
 def dyadic_approx(x: CReal, n: int, budget: int | None = None) -> int:

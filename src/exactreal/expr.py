@@ -257,7 +257,7 @@ def evaluate(e: Expr, env=None, budget: int | None = None):
             return left / right
         if isinstance(node, Call):
             args = [go(a) for a in node.args]
-            if any(isinstance(a, Complex) for a in args) and node.name != "csqrt":
+            if any(isinstance(a, Complex) for a in args):
                 raise ParseError(
                     f"{node.name} does not accept complex arguments", node.pos
                 )
@@ -268,9 +268,6 @@ def evaluate(e: Expr, env=None, budget: int | None = None):
             if node.name == "sqrt":
                 return real_sqrt(args[0], budget)
             if node.name == "csqrt":
-                args = [
-                    a if isinstance(a, CReal) else a for a in args
-                ]
                 return csqrt(Complex(args[0], args[1]), budget)
         raise TypeError(f"not an expression: {node!r}")
 

@@ -99,7 +99,8 @@ class Interval:
         accuracy.
         """
         if other.straddles_zero():
-            raise DivisorStraddlesZero(f"divisor {other} contains zero")
+            # a fixed message: formatting a huge interval costs O(n**2)
+            raise DivisorStraddlesZero("divisor interval contains zero")
         quotients = [
             (self.lo, other.lo),
             (self.lo, other.hi),

@@ -99,6 +99,13 @@ class TestTrisection:
         )
         assert in_interval(root.approx(80), Fraction(1, 2))
 
+    def test_decreasing_function(self):
+        # f(0) > 0 > f(1): the first step certifies this orientation
+        root = ivt_trisect(lambda x: Fraction(1, 2) - x, 0, 1)
+        iv = root.approx(60)
+        assert in_interval(iv, Fraction(1, 2))
+        assert iv.width() <= Dyadic(1, -60)
+
     def test_invalid_bracket_order(self):
         with pytest.raises(ValueError):
             ivt_trisect(lambda x: x, 1, 0)

@@ -8,7 +8,8 @@ import pytest
 from exactreal.cli import main
 from exactreal.errors import ParseError
 from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse, render
-from exactreal.kleenean import DEFAULT_BUDGET, set_default_budget
+from exactreal import cli
+from exactreal.kleenean import DEFAULT_BUDGET, resolve_budget, set_default_budget
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +115,24 @@ class TestCli:
         assert code == 2
         assert "4096" in err
 
+    def test_eval_division_by_hidden_zero_exits_2(self, capsys):
+        # the divisor's interval at 16k bits must not be formatted
+        code, _, err = self.run(capsys, "eval", "1/(pi-pi)", "--budget", "16384")
+        assert code == 2
+        assert "16384" in err and len(err.splitlines()) == 1
+
+    def test_eval_nested_csqrt_exits_1(self, capsys):
+        code, _, err = self.run(capsys, "eval", "csqrt(csqrt(1,0),0)")
+        assert code == 1
+        assert "does not accept complex arguments" in err
+
+    def test_budget_restored_after_main(self, capsys):
+        before = resolve_budget(None)
+        assert self.run(capsys, "eval", "1/0", "--budget", "16")[0] == 2
+        assert resolve_budget(None) == before
+        assert self.run(capsys, "eval", "2", "--budget", "16")[0] == 0
+        assert resolve_budget(None) == before
+
     def test_parse_error_exits_1(self, capsys):
         code, _, err = self.run(capsys, "eval", "1+")
         assert code == 1
@@ -128,6 +147,11 @@ class TestCli:
         code, out, _ = self.run(capsys, "ivt", "x*(2-x)-0.5", "0", "1", "--bits", "60")
         assert code == 0
         assert out.startswith("0.2928932188134524")
+
+    def test_ivt_decreasing(self, capsys):
+        code, out, _ = self.run(capsys, "ivt", "0.5-x", "0", "1", "--bits", "60")
+        assert code == 0
+        assert out.startswith("0.5000000")
 
     def test_ivt_bad_bracket_exits_2(self, capsys):
         code, _, err = self.run(
@@ -169,6 +193,12 @@ class TestCli:
         assert code == 0
         assert "name=sqrt2 bits=500" in out
         assert "verified=true" in out
+
+    def test_bench_failed_row_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._BENCH_ROWS["maxpi"], "verify", lambda iv, bits: False)
+        code, out, _ = self.run(capsys, "bench", "--seed-row", "maxpi", "--bits", "50")
+        assert code == 1
+        assert out.strip().splitlines()[-1].endswith("FAILED")
 
     def test_bench_unknown_row(self, capsys):
         with pytest.raises(SystemExit):

@@ -217,6 +217,23 @@ class TestLimitRefine:
         contains_one = in_interval(iv, Fraction(1))
         assert contains_zero != contains_one
 
+    def test_step_runs_once_per_requested_index(self):
+        # accuracy p asks for the single index p + 2; the indices in
+        # between are skipped, and the step sees the latest term and hint
+        calls = []
+
+        def step(n, x, hint):
+            calls.append((n, hint))
+            return CReal.from_dyadic(Dyadic(1, -n)), n
+
+        lim = limit_refine(CReal.from_int(1), "seed", step)
+        lim.approx(10)
+        lim.approx(10)
+        lim.approx(40)
+        lim.approx(25)
+        assert calls == [(12, "seed"), (42, 12)]
+        assert in_interval(lim.approx(40), Fraction(0))
+
 
 class TestRounding:
     def test_round_nd_examples(self):
