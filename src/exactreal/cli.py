@@ -55,6 +55,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _bracket(a: str, b: str) -> tuple[Fraction, Fraction]:
+    try:
+        lo, hi = Fraction(a), Fraction(b)
+    except (ValueError, ZeroDivisionError):
+        lo = hi = None
+    if lo is None or not lo < hi:
+        raise SystemExit(f"invalid bracket: {a!r} {b!r}: need two numbers a < b")
+    return lo, hi
+
+
 def _cmd_ivt(args) -> int:
     bits, digits = _resolve_accuracy(args)
     ast = parse(args.expr)
@@ -62,7 +72,8 @@ def _cmd_ivt(args) -> int:
     def f(x: CReal) -> CReal:
         return evaluate(ast, env={"x": x}, budget=args.budget)
 
-    root = ivt_trisect(f, Fraction(args.a), Fraction(args.b), budget=args.budget)
+    a, b = _bracket(args.a, args.b)
+    root = ivt_trisect(f, a, b, budget=args.budget)
     root.approx(bits)
     _print_value(root, digits)
     return 0
@@ -170,6 +181,10 @@ _BENCH_ROWS = {
 
 
 def _cmd_bench(args) -> int:
+    if args.bits is not None and args.bits < 1:
+        raise SystemExit("--bits must be >= 1")
+    if args.repeats < 1:
+        raise SystemExit("--repeats must be >= 1")
     names = [args.seed_row] if args.seed_row else list(_BENCH_ROWS)
     unknown = [n for n in names if n not in _BENCH_ROWS]
     if unknown:
@@ -187,8 +202,6 @@ def _cmd_bench(args) -> int:
             times.append(time.perf_counter() - start)
             if not row["verify"](iv, bits):
                 verified = False
-        if args.repeats == 0:
-            continue
         mean = sum(times) / len(times)
         status = "ok" if verified else "FAILED"
         any_failed = any_failed or not verified
@@ -251,6 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.budget < 0:
+        raise SystemExit("--budget must be >= 0")
     previous_budget = resolve_budget(None)
     set_default_budget(args.budget)
     try:

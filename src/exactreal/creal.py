@@ -184,10 +184,14 @@ def _refined(p: int, raw: Callable[[int], Interval], what: str) -> Interval:
 
 
 def _binary(x: CReal, y: CReal, combine, what: str):
-    def fn(p: int) -> Interval:
-        return _refined(p, lambda q: combine(x.approx(q), y.approx(q), q), what)
+    def raw(q: int) -> Interval:
+        # Right operand first: in a Heron step (h + x/h)/2 the quotient
+        # asks h at a higher precision than the sum does, so asking it
+        # first leaves the sum's request to h to hit h's cache.
+        b = y.approx(q)
+        return combine(x.approx(q), b, q)
 
-    return CReal(fn)
+    return CReal(lambda p: _refined(p, raw, what))
 
 
 def _div_intervals(a: Interval, b: Interval, q: int) -> Interval:

@@ -94,6 +94,11 @@ class Interval:
         """Containment-sound quotient, endpoints rounded outward to
         ``bits`` significant bits.
 
+        With zero outside the divisor, x/y is monotone in each argument,
+        so each endpoint is one corner quotient picked by the signs: two
+        directed divisions in all.  Directed rounding is monotone, so
+        this equals the rounded hull of all four corners.
+
         Raises ``DivisorStraddlesZero`` when the divisor interval
         contains zero; callers at the real layer retry at higher
         accuracy.
@@ -101,14 +106,14 @@ class Interval:
         if other.straddles_zero():
             # a fixed message: formatting a huge interval costs O(n**2)
             raise DivisorStraddlesZero("divisor interval contains zero")
-        quotients = [
-            (self.lo, other.lo),
-            (self.lo, other.hi),
-            (self.hi, other.lo),
-            (self.hi, other.hi),
-        ]
-        lo = min(div_directed(a, b, bits, up=False) for a, b in quotients)
-        hi = max(div_directed(a, b, bits, up=True) for a, b in quotients)
+        a, b = self.lo, self.hi
+        c, d = other.lo, other.hi
+        if c.sign > 0:
+            lo = div_directed(a, d if a.sign >= 0 else c, bits, up=False)
+            hi = div_directed(b, c if b.sign >= 0 else d, bits, up=True)
+        else:
+            lo = div_directed(b, d if b.sign >= 0 else c, bits, up=False)
+            hi = div_directed(a, c if a.sign >= 0 else d, bits, up=True)
         return Interval(lo, hi)
 
     # -- rounding -----------------------------------------------------

@@ -1,5 +1,8 @@
 """Expression parsing/rendering and the command-line front end."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -174,11 +177,39 @@ class TestCli:
         assert abs(abs(re_v) - 1) <= ulp and abs(abs(im_v) - 1) <= ulp
         assert (re_v > 0) == (im_v > 0)
 
-    def test_bench_zero_repeats(self, capsys):
-        code, out, _ = self.run(capsys, "bench", "--repeats", "0")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("row")
+    def rejected(self, *argv) -> str:
+        """The one-line message of a command that exits 1 before running."""
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("a,b", [("0-1", "1"), ("abc", "1"), ("1", "0")])
+    def test_ivt_invalid_bracket_exits_1(self, a, b):
+        assert self.rejected("ivt", "x", a, b).startswith("invalid bracket: ")
+
+    def test_bench_negative_bits_rejected(self):
+        message = self.rejected("bench", "--seed-row", "sqrt2", "--bits", "-3")
+        assert message == "--bits must be >= 1"
+
+    def test_bench_zero_repeats_rejected(self):
+        assert self.rejected("bench", "--repeats", "0") == "--repeats must be >= 1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "1"),
+            ("ivt", "x", "0", "1"),
+            ("sqrt", "2"),
+            ("csqrt", "0", "2"),
+            ("bench", "--seed-row", "maxpi"),
+        ],
+    )
+    def test_negative_budget_rejected(self, argv):
+        before = resolve_budget(None)
+        assert self.rejected(*argv, "--budget", "-1") == "--budget must be >= 0"
+        assert resolve_budget(None) == before
 
     def test_bench_seed_row_machine_output(self, capsys):
         code, out, _ = self.run(
@@ -210,3 +241,29 @@ class TestCli:
         table = [ln for ln in out.strip().splitlines()[1:]]
         assert len(table) == 6
         assert all(ln.endswith("ok") for ln in table)
+
+
+def run_module(*argv):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "exactreal", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_python_m_exactreal_eval():
+    proc = run_module("eval", "1+1", "--digits", "3")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "2.000"
+
+
+def test_python_m_exactreal_invalid_bracket_exits_1():
+    proc = run_module("ivt", "x", "0-1", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("invalid bracket: ")
+    assert len(proc.stderr.splitlines()) == 1

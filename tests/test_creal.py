@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exactreal.algorithms import real_sqrt
 from exactreal.creal import (
     CReal,
     dyadic_approx,
@@ -280,3 +281,29 @@ class TestDecimalOutput:
     def test_contract(self, fr, digits):
         printed = Fraction(to_decimal(CReal.from_fraction(fr), digits))
         assert abs(printed - fr) <= Fraction(1, 10**digits)
+
+
+class TestEvaluationOrder:
+    """Binary nodes ask their right operand first, so a Heron iterate
+    asked at two precisions in one step is evaluated only once."""
+
+    def count_divisions(self, monkeypatch, build) -> int:
+        calls = 0
+        div = Interval.div
+
+        def counted(self, other, bits):
+            nonlocal calls
+            calls += 1
+            return div(self, other, bits)
+
+        monkeypatch.setattr(Interval, "div", counted)
+        build().approx(10_000)
+        return calls
+
+    def test_sqrt2_divides_once_per_heron_iterate(self, monkeypatch):
+        # iterate k is within 2**-2**k of the root: 14 iterates for 10,000 bits
+        assert self.count_divisions(monkeypatch, lambda: real_sqrt(2)) == 14
+
+    def test_sqrt_sqrt2_divisions(self, monkeypatch):
+        build = lambda: real_sqrt(real_sqrt(2))
+        assert self.count_divisions(monkeypatch, build) <= 40

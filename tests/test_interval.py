@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from exactreal.dyadic import Dyadic
+from exactreal import interval as interval_module
+from exactreal.dyadic import Dyadic, div_directed
 from exactreal.errors import DivisorStraddlesZero
 from exactreal.interval import Interval
 
@@ -134,3 +135,29 @@ def test_abs():
     assert abs(iv(-3, -1)) == iv(1, 3)
     assert abs(iv(1, 3)) == iv(1, 3)
     assert abs(iv(-2, 3)) == iv(0, 3)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 33, 200])
+def test_div_sign_cases_match_corner_hull(bits, monkeypatch):
+    """Every numerator sign pattern against both divisor signs: the two
+    sign-picked corner quotients equal the rounded hull of all four."""
+    values = [Dyadic(-7, -1), Dyadic(-1, -3), Dyadic(0), Dyadic(5, -2), Dyadic(11)]
+    numerators = [Interval(lo, hi) for lo in values for hi in values if lo <= hi]
+    divisors = [iv(3, 3), iv("0.125", 5), iv(2, 7), -iv(3, 3), -iv("0.125", 5)]
+    calls = []
+
+    def counted(a, b, bits, up):
+        calls.append(up)
+        return div_directed(a, b, bits, up)
+
+    monkeypatch.setattr(interval_module, "div_directed", counted)
+    for num in numerators:
+        for den in divisors:
+            corners = [(x, y) for x in (num.lo, num.hi) for y in (den.lo, den.hi)]
+            hull = Interval(
+                min(div_directed(x, y, bits, up=False) for x, y in corners),
+                max(div_directed(x, y, bits, up=True) for x, y in corners),
+            )
+            calls.clear()
+            assert num.div(den, bits) == hull
+            assert sorted(calls) == [False, True]
