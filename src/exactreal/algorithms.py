@@ -2,14 +2,15 @@
 
 Maximum via approximate splitting, pi from a Machin-style series with
 certified tails, root finding by trisection, real square roots by
-scaled Heron iteration, and the total nondeterministic complex square
-root whose branch-point case is handled by an invariant-guided
-refinement limit.
+scaled Newton (Heron) steps at doubling precision, and the total
+nondeterministic complex square root whose branch-point case is
+handled by an invariant-guided refinement limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, isqrt
 from typing import Callable
 
 from .creal import (
@@ -25,7 +26,14 @@ from .creal import (
 )
 from .dyadic import Dyadic
 from .errors import EffortExhausted
-from .kleenean import Branch, _select_with_effort, select, select_index
+from .interval import Interval
+from .kleenean import (
+    Branch,
+    _select_with_effort,
+    resolve_budget,
+    select,
+    select_index,
+)
 
 # -- maximum and absolute value ---------------------------------------
 
@@ -129,6 +137,8 @@ def ivt_trisect(
             rising = less_than(fa, ZERO_REAL) & less_than(ZERO_REAL, fb)
             falling = less_than(ZERO_REAL, fa) & less_than(fb, ZERO_REAL)
             sign = 1 if select(rising, falling, budget) is Branch.LEFT else -1
+        if n > resolve_budget(budget):
+            raise EffortExhausted(budget, "trisecting to the requested accuracy")
         g = f if sign > 0 else (lambda x: -f(x))
         target = Fraction(1, 1 << n)
         while b - a > target:
@@ -155,32 +165,128 @@ def ivt_trisect(
 # -- real square root --------------------------------------------------
 
 
-def _heron_step(x: CReal, h: CReal) -> CReal:
-    return (h + x / h).scale2(-1)
-
-
 def heron(x, n: int) -> CReal:
-    """n-th Heron iterate for sqrt(x), starting from 1."""
+    """n-th exact Heron iterate h <- (h + x/h)/2 for sqrt(x), starting
+    from 1: within 2**-2**n of the root for x in [0.25, 2]."""
     x = CReal._coerce(x)
     h = CReal.from_int(1)
     for _ in range(n):
-        h = _heron_step(x, h)
+        h = (h + x / h).scale2(-1)
     return h
 
 
-def sqrt_restricted(x) -> CReal:
-    """sqrt(x) for x in [0.25, 2], via quadratically convergent Heron
-    iterates: |heron(x, k) - sqrt(x)| <= 2**-2**k on that range.  Each
-    iterate is built on the last, so nodes and caches stay shared."""
+# working bits beyond the accuracy a Newton step aims for; they absorb
+# the step's rounding, the error of x's approximation and the quadratic
+# term's constant, so a step aimed at n certifies n
+_NEWTON_GUARD = 8
+
+
+def _sqrt_accuracy(t: Dyadic, xs: Interval) -> float:
+    """The largest a with |t - sqrt(x)| <= 2**-a for every x >= 0 in xs
+    (-inf when t <= 0, inf when t is the exact root of a point).
+
+    |t - sqrt(x)| = |t**2 - x| / (t + sqrt(x)); the numerator is at most
+    its larger value at the ends of xs, with t**2 exact, and the
+    denominator at least t + sqrt(max(xs.lo, 0)), taken to 32 bits.
+    """
+    m, e = t.mantissa, t.exponent
+    if m <= 0:
+        return -inf
+    lo, hi = xs.lo, xs.hi
+    ex = min(2 * e, lo.exponent, hi.exponent)
+    sq = (m * m) << (2 * e - ex)
+    err = max(
+        abs(sq - (lo.mantissa << (lo.exponent - ex))),
+        abs(sq - (hi.mantissa << (hi.exponent - ex))),
+    )
+    if err == 0:
+        return inf
+    # denominator on the grid 2**-k that gives t 32 bits
+    k = 32 - m.bit_length() - e
+    den = _shift(m, e + k)
+    if lo.mantissa > 0:
+        # lo capped at 2**(66 - 2k) still bounds sqrt(x) below, with a small isqrt
+        s = lo.exponent + 2 * k
+        capped = lo.mantissa.bit_length() + s > 67
+        den += isqrt(1 << 66 if capped else _shift(lo.mantissa, s))
+    # j = floor(log2(den / err)), so |t - sqrt(x)| <= 2**(ex + k - j)
+    j = den.bit_length() - err.bit_length()
+    if (err << j > den) if j >= 0 else (err > den << -j):
+        j -= 1
+    return j - ex - k
+
+
+def _shift(m: int, s: int) -> int:
+    """floor(m * 2**s)."""
+    return m << s if s >= 0 else m >> -s
+
+
+def _heron_point(xs: Interval, t: Dyadic, w: int) -> Dyadic:
+    """One Heron update (t + x/t)/2 of the point t > 0 on the grid
+    2**-w, with x taken as the upper end of its approximation xs."""
+    xm, xe = xs.hi.mantissa, xs.hi.exponent
+    m, e = t.mantissa, t.exponent
+    s = xe - e + w
+    q = (xm << s) // m if s >= 0 else xm // (m << -s)  # floor(x * 2**w / t)
+    return Dyadic((_shift(m, e + w) + q) >> 1, -w)
+
+
+def _newton_target(n: int, acc: float) -> int:
+    """The accuracy the next Newton step aims for: the largest link of
+    the chain n, ceil(n/2) + 1, ... that one step from accuracy acc
+    reaches (about 2 * acc), so the steps' precisions sum to about 2n."""
+    target = n
+    while target > 2 * acc - 1 and target > 3:
+        target = (target + 1) // 2 + 1
+    return target
+
+
+def _newton_sqrt(x: CReal, t: Dyadic, acc: float, n: int, budget: int):
+    """Heron updates of the point t until |t - sqrt(x)| <= 2**-n is
+    certified; returns the last point and its certified accuracy.
+
+    Each step's precision follows ``_newton_target``; a step that
+    certifies no gain is dropped and the next runs at twice its
+    precision, so the loop ends at the budget whatever x is.
+    """
+    if n + _NEWTON_GUARD > budget:
+        raise EffortExhausted(budget, "refining a square root")
+    least = 0
+    while acc < n:
+        w = max(_newton_target(n, acc), least) + _NEWTON_GUARD
+        if w > budget:
+            raise EffortExhausted(budget, "refining a square root")
+        xs = x.approx(w + 2)
+        t1 = _heron_point(xs, t, w)
+        acc1 = _sqrt_accuracy(t1, xs)
+        if acc1 > acc:
+            t, acc = t1, acc1
+        else:
+            least = 2 * w
+    return t, acc
+
+
+def _sqrt_step(x: CReal, budget: int | None):
+    """Refinement step for sqrt(x), x >= 0: the hint (t, acc) is a
+    dyadic point with |t - sqrt(x)| <= 2**-acc, and index n > acc runs
+    Newton steps from it until acc >= n."""
+
+    def step(n: int, term: CReal, hint):
+        t, acc = hint
+        if acc < n:
+            t, acc = _newton_sqrt(x, t, acc, n, resolve_budget(budget))
+            term = CReal.from_dyadic(t)
+        return term, (t, acc)
+
+    return step
+
+
+def sqrt_restricted(x, budget: int | None = None) -> CReal:
+    """sqrt(x) for x in [0.25, 2], as the limit of dyadic points from
+    precision-doubling Newton (Heron) steps, each certified after the
+    fact by t**2 - x; other x >= 0 converge too, only more slowly."""
     x = CReal._coerce(x)
-
-    def step(n: int, h: CReal, k: int):
-        # smallest k with 2**2**k <= 2**-n slack: 2**k > n + 2
-        while k < (n + 2).bit_length():
-            h, k = _heron_step(x, h), k + 1
-        return h, k
-
-    return limit_refine(CReal.from_int(1), 0, step)
+    return limit_refine(CReal.from_int(1), (Dyadic(1), -inf), _sqrt_step(x, budget))
 
 
 _SCALE_LO = Dyadic(1, -2)
@@ -228,9 +334,10 @@ def real_sqrt(x, budget: int | None = None) -> CReal:
     """sqrt(x) for x >= 0, total including 0.
 
     Stage n chooses between |x| < 2**-2n (emit 0, a valid 2**-n
-    approximation) and x > 0 (scale into [0.25, 2], run Heron, rescale;
-    the choice is then pinned for all later stages).  For x < 0 neither
-    case is certifiable and the effort budget is exhausted.
+    approximation) and x > 0 (scale into [0.25, 2], take
+    ``sqrt_restricted``, rescale; the choice is then pinned for all
+    later stages).  For x < 0 neither case is certifiable and the
+    effort budget is exhausted.
     """
     x = CReal._coerce(x)
 
@@ -240,7 +347,7 @@ def real_sqrt(x, budget: int | None = None) -> CReal:
 
     def root() -> CReal:
         z, scaled = sqrt_scale(x, budget)
-        return sqrt_restricted(scaled).scale2(-z)
+        return sqrt_restricted(scaled, budget).scale2(-z)
 
     step = _zero_until_pinned(small, less_than(ZERO_REAL, x), root, ZERO_REAL, budget)
     return limit_refine(ZERO_REAL, None, step)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic, ZERO, decimal_string
 from .errors import DivisorStraddlesZero, EffortExhausted
 from .interval import Interval
 from .kleenean import (
@@ -159,14 +159,16 @@ class CReal:
 
 def _doubling(start: int, budget: "int | None", what: str):
     """Working precisions start, 2*start, 4*start, ... capped at the
-    budget; raises ``EffortExhausted`` once the budget itself was tried."""
+    budget; raises ``EffortExhausted`` once the budget itself was tried,
+    or at once when start is above it."""
     budget = resolve_budget(budget)
     q = start
-    while True:
+    while q <= budget:
         yield q
-        if q >= budget:
-            raise EffortExhausted(budget, what)
+        if q == budget:
+            break
         q = min(budget, 2 * q)
+    raise EffortExhausted(budget, what)
 
 
 def _refined(p: int, raw: Callable[[int], Interval], what: str) -> Interval:
@@ -319,7 +321,7 @@ def to_decimal(x: CReal, digits: int) -> str:
         n = (2 * scaled + den) // (2 * den)  # round to nearest
     sign = "-" if n < 0 else ""
     whole, frac = divmod(abs(n), 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{decimal_string(whole)}.{decimal_string(frac).rjust(digits, '0')}"
 
 
 ZERO_REAL = CReal.from_dyadic(ZERO)

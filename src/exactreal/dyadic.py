@@ -16,6 +16,37 @@ from .errors import ExponentOverflow
 _EXP_LIMIT = 1 << 62
 
 
+# digits ``str`` converts directly, well below the interpreter's
+# 4,300-digit limit on int-to-str conversion
+_DECIMAL_CHUNK = 1000
+
+
+def decimal_string(n: int) -> str:
+    """``str(n)`` for an int of any size: split by powers of ten into
+    chunks that ``str`` may convert."""
+    if n < 0:
+        return "-" + decimal_string(-n)
+    digits = n.bit_length() * 30103 // 100000 + 1  # at least len(str(n))
+    if digits <= _DECIMAL_CHUNK:
+        return str(n)
+    # powers[i] = 10**(chunk * 2**i), up to just below n's digit count
+    powers = [10**_DECIMAL_CHUNK]
+    while _DECIMAL_CHUNK << len(powers) < digits:
+        powers.append(powers[-1] * powers[-1])
+
+    def convert(m: int, i: int) -> str:
+        # m < 10**(chunk * 2**i)
+        if i == 0:
+            return str(m)
+        hi, lo = divmod(m, powers[i - 1])
+        width = _DECIMAL_CHUNK << (i - 1)
+        if hi == 0:
+            return convert(lo, i - 1)
+        return convert(hi, i - 1) + convert(lo, i - 1).rjust(width, "0")
+
+    return convert(n, len(powers))
+
+
 def _normalize(mantissa: int, exponent: int) -> tuple[int, int]:
     if mantissa == 0:
         return 0, 0
@@ -79,12 +110,12 @@ class Dyadic:
     def to_decimal_string(self) -> str:
         """Exact decimal rendering (finite because 2 divides 10)."""
         if self.exponent >= 0:
-            return str(self.mantissa << self.exponent)
+            return decimal_string(self.mantissa << self.exponent)
         shift = -self.exponent
         # m / 2**k == m * 5**k / 10**k
         scaled = self.mantissa * 5 ** shift
         sign = "-" if scaled < 0 else ""
-        digits = str(abs(scaled)).rjust(shift + 1, "0")
+        digits = decimal_string(abs(scaled)).rjust(shift + 1, "0")
         return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
     def to_hex_string(self) -> str:
@@ -154,9 +185,18 @@ class Dyadic:
     # -- comparison (total order on values) ---------------------------
 
     def _cmp(self, other) -> int:
-        e = min(self.exponent, other.exponent)
-        a = self.mantissa << (self.exponent - e)
-        b = other.mantissa << (other.exponent - e)
+        a, b = self.mantissa, other.mantissa
+        e = self.exponent - other.exponent
+        # a shift past the other mantissa's length decides by sign alone,
+        # so far-apart exponents cost no huge shift
+        if e >= 0:
+            if a and e > b.bit_length():
+                return 1 if a > 0 else -1
+            a <<= e
+        else:
+            if b and -e > a.bit_length():
+                return -1 if b > 0 else 1
+            b <<= -e
         return (a > b) - (a < b)
 
     def __eq__(self, other):

@@ -1,11 +1,14 @@
 """max, pi, trisection root finding, and real/complex square roots."""
 
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from exactreal import algorithms
 from exactreal.algorithms import (
     Complex,
     csqrt,
@@ -18,8 +21,9 @@ from exactreal.algorithms import (
     real_sqrt,
     sqrt_restricted,
     sqrt_scale,
+    _sqrt_accuracy,
 )
-from exactreal.creal import CReal, to_decimal
+from exactreal.creal import CReal, refinement_terms, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted
 from exactreal.interval import Interval
@@ -198,6 +202,118 @@ class TestRealSqrt:
         r = real_sqrt(CReal.from_fraction(x))
         iv = (r * r).approx(100)
         assert in_interval(iv, x)
+
+
+def within(t: Fraction, x: Fraction, a) -> bool:
+    """|t - sqrt(x)| <= 2**-a, decided exactly by squares."""
+    if a == inf:
+        return t * t == x
+    if a == -inf:
+        return True
+    eps = Fraction(2) ** -a
+    lower = t - eps
+    return (lower <= 0 or lower * lower <= x) and x <= (t + eps) ** 2
+
+
+# accuracies next to the doubling points 2**k, where the steps' chain
+# of target precisions turns
+STRADDLING = sorted({2**k + d for k in range(1, 12) for d in (-1, 0, 1)} | {4000})
+
+dyadics = st.builds(Dyadic, st.integers(-(2**80), 2**80), st.integers(-120, 20))
+
+
+class TestNewtonSqrt:
+    """sqrt_restricted's terms are dyadic points from precision-doubling
+    Newton steps, each certified after the fact by t**2 - x."""
+
+    def record(self, monkeypatch):
+        """Count interval divisions and record the Newton steps' working
+        precisions."""
+        seen = {"divisions": 0, "precisions": []}
+        div, point = Interval.div, algorithms._heron_point
+
+        def counted_div(self, other, bits):
+            seen["divisions"] += 1
+            return div(self, other, bits)
+
+        def recorded_point(xs, t, w):
+            seen["precisions"].append(w)
+            return point(xs, t, w)
+
+        monkeypatch.setattr(Interval, "div", counted_div)
+        monkeypatch.setattr(algorithms, "_heron_point", recorded_point)
+        return seen
+
+    def test_sqrt2_steps_double_precision(self, monkeypatch):
+        seen = self.record(monkeypatch)
+        iv = real_sqrt(2).approx(10_000)
+        assert iv.width() <= Dyadic(1, -10_000)
+        assert in_interval(iv.widen(Dyadic(1, -10_000)), sqrt_oracle(Fraction(2), 10_000))
+        assert seen["divisions"] == 0
+        # about two full-precision steps in all, not one per iterate
+        assert sum(seen["precisions"]) <= 2.5 * 10_000
+
+    def test_sqrt_sqrt2_steps_double_precision(self, monkeypatch):
+        seen = self.record(monkeypatch)
+        iv = real_sqrt(real_sqrt(2)).approx(10_000)
+        assert iv.lo * iv.lo * iv.lo * iv.lo <= Dyadic(2) <= iv.hi * iv.hi * iv.hi * iv.hi
+        assert seen["divisions"] == 0
+        # two square roots, each within the bound of one
+        assert sum(seen["precisions"]) <= 2 * 2.5 * 10_000
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        x=st.sampled_from([Fraction(1, 4), Fraction(2)])
+        | st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=10**9),
+        indices=st.lists(
+            st.sampled_from(STRADDLING) | st.integers(1, 4000), min_size=1, max_size=6
+        ),
+        data=st.data(),
+    )
+    def test_terms_certified_in_any_order(self, x, indices, data):
+        # a non-dyadic x arrives as intervals, a dyadic one as a point
+        order = data.draw(st.permutations(indices))
+        # refinement_terms in place of limit_refine hands back the terms
+        with mock.patch.object(algorithms, "limit_refine", refinement_terms):
+            term = sqrt_restricted(CReal.from_fraction(x))
+        for n in order:
+            iv = term(n).approx(0)
+            assert iv.lo == iv.hi
+            assert within(iv.lo.to_fraction(), x, n)
+
+    @given(t=dyadics, lo=dyadics, hi=dyadics)
+    def test_accuracy_bound_holds_for_any_point(self, t, lo, hi):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assume(t.sign > 0 and hi.sign >= 0)
+        a = _sqrt_accuracy(t, Interval(lo, hi))
+        tf = t.to_fraction()
+        # |t - sqrt(x)| is largest at an end of the interval
+        for x in (max(lo, Dyadic(0)), hi):
+            assert within(tf, x.to_fraction(), a)
+
+    def test_accuracy_bound_is_tight(self):
+        # t = 3/2 for x = 2: |t - sqrt(2)| = 0.0858, so a = 3
+        assert _sqrt_accuracy(Dyadic(3, -1), Interval.point(Dyadic(2))) == 3
+        assert _sqrt_accuracy(Dyadic(3, -1), Interval.point(Dyadic(9, -2))) == inf
+        assert _sqrt_accuracy(Dyadic(0), Interval.point(Dyadic(2))) == -inf
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 1000), Fraction(100)])
+    def test_outside_the_scaled_range(self, x):
+        # slower linear steps at first, but every term stays certified
+        iv = sqrt_restricted(CReal.from_fraction(x)).approx(200)
+        assert iv.width() <= Dyadic(1, -200)
+        root = sqrt_oracle(x, 220)
+        assert in_interval(iv.widen(Dyadic(1, -219)), root)
+
+    def test_budget_caps_working_precision(self):
+        with pytest.raises(EffortExhausted):
+            sqrt_restricted(2, budget=64).approx(100)
+        assert in_interval(sqrt_restricted(4, budget=64).approx(40), Fraction(2))
+
+    def test_negative_exhausts_budget(self):
+        # no step certifies a gain, so the working precision doubles to the budget
+        with pytest.raises(EffortExhausted):
+            sqrt_restricted(-1, budget=4096).approx(10)
 
 
 class TestComplex:

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -135,6 +137,28 @@ class TestCli:
         assert resolve_budget(None) == before
         assert self.run(capsys, "eval", "2", "--budget", "16")[0] == 0
         assert resolve_budget(None) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "1/3"), ("sqrt", "2"), ("csqrt", "2", "1"), ("ivt", "x-0.5", "0", "1")],
+    )
+    def test_bits_above_budget_exit_2(self, capsys, argv):
+        # no working precision above the budget is ever tried
+        start = time.perf_counter()
+        code, _, err = self.run(capsys, *argv, "--bits", "100000000000")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert err.startswith("effort exhausted") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("digits", [5_000, 20_000])
+    def test_eval_sqrt2_past_int_str_limit(self, capsys, digits):
+        code, out, _ = self.run(capsys, "eval", "sqrt(2)", "--digits", str(digits))
+        assert code == 0
+        whole, frac = out.strip().split(".")
+        assert whole == "1" and len(frac) == digits
+        oracle = isqrt(2 * 10 ** (2 * digits))
+        # int(Decimal(s)) has no digit limit, unlike int(s)
+        assert abs(int(Decimal(whole + frac)) - oracle) <= 2
 
     def test_parse_error_exits_1(self, capsys):
         code, _, err = self.run(capsys, "eval", "1+")

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactreal.algorithms import real_sqrt
+from exactreal.algorithms import heron, real_sqrt
 from exactreal.creal import (
     CReal,
     dyadic_approx,
@@ -284,8 +284,8 @@ class TestDecimalOutput:
 
 
 class TestEvaluationOrder:
-    """Binary nodes ask their right operand first, so a Heron iterate
-    asked at two precisions in one step is evaluated only once."""
+    """Binary nodes ask their right operand first, so an exact Heron
+    iterate asked at two precisions in one step is evaluated only once."""
 
     def count_divisions(self, monkeypatch, build) -> int:
         calls = 0
@@ -300,9 +300,9 @@ class TestEvaluationOrder:
         build().approx(10_000)
         return calls
 
-    def test_sqrt2_divides_once_per_heron_iterate(self, monkeypatch):
-        # iterate k is within 2**-2**k of the root: 14 iterates for 10,000 bits
-        assert self.count_divisions(monkeypatch, lambda: real_sqrt(2)) == 14
+    def test_heron_divides_once_per_iterate(self, monkeypatch):
+        # (h + x/h)/2: the quotient's request leaves the sum a cache hit
+        assert self.count_divisions(monkeypatch, lambda: heron(2, 14)) == 14
 
     def test_sqrt_sqrt2_divisions(self, monkeypatch):
         build = lambda: real_sqrt(real_sqrt(2))

@@ -1,11 +1,12 @@
 """Dyadic arithmetic against a big-rational oracle."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from exactreal.dyadic import ONE, ZERO, Dyadic, div_directed
+from exactreal.dyadic import ONE, ZERO, Dyadic, decimal_string, div_directed
 from exactreal.errors import ExponentOverflow
 
 dyadics = st.builds(
@@ -166,3 +167,26 @@ class TestDirectedDivision:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             div_directed(ONE, ZERO, 10, up=False)
+
+
+class TestDecimalString:
+    """Checked through int(Decimal(s)), which has no digit limit, unlike int(s)."""
+
+    @given(st.integers(-(10**4000), 10**4000))
+    def test_matches_str_below_the_limit(self, n):
+        assert decimal_string(n) == str(n)
+
+    @pytest.mark.parametrize("digits", [4_301, 10_000, 20_000, 65_536])
+    def test_round_trip_past_the_limit(self, digits):
+        for n in (10 ** (digits - 1), 10**digits - 1, 7**(digits * 100 // 85)):
+            text = decimal_string(n)
+            assert text[0] != "0"
+            assert int(Decimal(text)) == n
+            assert decimal_string(-n) == "-" + text
+
+    def test_exact_decimal_of_a_long_dyadic(self):
+        m = (1 << 20_000) - 1
+        text = Dyadic(m, -20_000).to_decimal_string()
+        whole, frac = text.split(".")
+        assert whole == "0" and len(frac) == 20_000
+        assert int(Decimal(frac)) == m * 5**20_000

@@ -161,3 +161,12 @@ def test_div_sign_cases_match_corner_hull(bits, monkeypatch):
             calls.clear()
             assert num.div(den, bits) == hull
             assert sorted(calls) == [False, True]
+
+
+def test_repr_of_a_20k_bit_interval():
+    # endpoints far past the interpreter's 4,300-digit int-to-str limit
+    lo = Dyadic((1 << 20_000) + 1, -20_000)
+    hi = lo + Dyadic(1, -20_000)
+    text = repr(Interval(lo, hi))
+    assert text == f"[{lo.to_decimal_string()}, {hi.to_decimal_string()}]"
+    assert text.startswith("[1.0000") and len(text) > 2 * 20_000
