@@ -2,7 +2,7 @@
 
 Maximum via approximate splitting, pi from a Machin-style series with
 certified tails, root finding by trisection, real square roots by
-scaled Newton (Heron) steps at doubling precision, and the total
+precision iteration over the interval square root, and the total
 nondeterministic complex square root whose branch-point case is
 handled by an invariant-guided refinement limit.
 """
@@ -10,7 +10,6 @@ handled by an invariant-guided refinement limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isqrt
 from typing import Callable
 
 from .creal import (
@@ -18,6 +17,7 @@ from .creal import (
     ZERO_REAL,
     _doubling,
     _mag_exp,
+    _refined,
     less_than,
     limit,
     limit_refine,
@@ -175,118 +175,17 @@ def heron(x, n: int) -> CReal:
     return h
 
 
-# working bits beyond the accuracy a Newton step aims for; they absorb
-# the step's rounding, the error of x's approximation and the quadratic
-# term's constant, so a step aimed at n certifies n
-_NEWTON_GUARD = 8
-
-
-def _sqrt_accuracy(t: Dyadic, xs: Interval) -> float:
-    """The largest a with |t - sqrt(x)| <= 2**-a for every x >= 0 in xs
-    (-inf when t <= 0, inf when t is the exact root of a point).
-
-    |t - sqrt(x)| = |t**2 - x| / (t + sqrt(x)); the numerator is at most
-    its larger value at the ends of xs, with t**2 exact, and the
-    denominator at least t + sqrt(max(xs.lo, 0)), taken to 32 bits.
-    """
-    m, e = t.mantissa, t.exponent
-    if m <= 0:
-        return -inf
-    lo, hi = xs.lo, xs.hi
-    ex = min(2 * e, lo.exponent, hi.exponent)
-    sq = (m * m) << (2 * e - ex)
-    err = max(
-        abs(sq - (lo.mantissa << (lo.exponent - ex))),
-        abs(sq - (hi.mantissa << (hi.exponent - ex))),
-    )
-    if err == 0:
-        return inf
-    # denominator on the grid 2**-k that gives t 32 bits
-    k = 32 - m.bit_length() - e
-    den = _shift(m, e + k)
-    if lo.mantissa > 0:
-        # lo capped at 2**(66 - 2k) still bounds sqrt(x) below, with a small isqrt
-        s = lo.exponent + 2 * k
-        capped = lo.mantissa.bit_length() + s > 67
-        den += isqrt(1 << 66 if capped else _shift(lo.mantissa, s))
-    # j = floor(log2(den / err)), so |t - sqrt(x)| <= 2**(ex + k - j)
-    j = den.bit_length() - err.bit_length()
-    if (err << j > den) if j >= 0 else (err > den << -j):
-        j -= 1
-    return j - ex - k
-
-
-def _shift(m: int, s: int) -> int:
-    """floor(m * 2**s)."""
-    return m << s if s >= 0 else m >> -s
-
-
-def _heron_point(xs: Interval, t: Dyadic, w: int) -> Dyadic:
-    """One Heron update (t + x/t)/2 of the point t > 0 on the grid
-    2**-w, with x taken as the upper end of its approximation xs."""
-    xm, xe = xs.hi.mantissa, xs.hi.exponent
-    m, e = t.mantissa, t.exponent
-    s = xe - e + w
-    q = (xm << s) // m if s >= 0 else xm // (m << -s)  # floor(x * 2**w / t)
-    return Dyadic((_shift(m, e + w) + q) >> 1, -w)
-
-
-def _newton_target(n: int, acc: float) -> int:
-    """The accuracy the next Newton step aims for: the largest link of
-    the chain n, ceil(n/2) + 1, ... that one step from accuracy acc
-    reaches (about 2 * acc), so the steps' precisions sum to about 2n."""
-    target = n
-    while target > 2 * acc - 1 and target > 3:
-        target = (target + 1) // 2 + 1
-    return target
-
-
-def _newton_sqrt(x: CReal, t: Dyadic, acc: float, n: int, budget: int):
-    """Heron updates of the point t until |t - sqrt(x)| <= 2**-n is
-    certified; returns the last point and its certified accuracy.
-
-    Each step's precision follows ``_newton_target``; a step that
-    certifies no gain is dropped and the next runs at twice its
-    precision, so the loop ends at the budget whatever x is.
-    """
-    if n + _NEWTON_GUARD > budget:
-        raise EffortExhausted(budget, "refining a square root")
-    least = 0
-    while acc < n:
-        w = max(_newton_target(n, acc), least) + _NEWTON_GUARD
-        if w > budget:
-            raise EffortExhausted(budget, "refining a square root")
-        xs = x.approx(w + 2)
-        t1 = _heron_point(xs, t, w)
-        acc1 = _sqrt_accuracy(t1, xs)
-        if acc1 > acc:
-            t, acc = t1, acc1
-        else:
-            least = 2 * w
-    return t, acc
-
-
-def _sqrt_step(x: CReal, budget: int | None):
-    """Refinement step for sqrt(x), x >= 0: the hint (t, acc) is a
-    dyadic point with |t - sqrt(x)| <= 2**-acc, and index n > acc runs
-    Newton steps from it until acc >= n."""
-
-    def step(n: int, term: CReal, hint):
-        t, acc = hint
-        if acc < n:
-            t, acc = _newton_sqrt(x, t, acc, n, resolve_budget(budget))
-            term = CReal.from_dyadic(t)
-        return term, (t, acc)
-
-    return step
-
-
 def sqrt_restricted(x, budget: int | None = None) -> CReal:
-    """sqrt(x) for x in [0.25, 2], as the limit of dyadic points from
-    precision-doubling Newton (Heron) steps, each certified after the
-    fact by t**2 - x; other x >= 0 converge too, only more slowly."""
+    """sqrt(x) for x >= 0 by precision iteration over ``Interval.sqrt``:
+    one integer square root per working precision q.  For x in
+    [0.25, 2] the first try meets the width; other x >= 0 converge
+    after a few doublings, and x < 0 exhausts the budget."""
     x = CReal._coerce(x)
-    return limit_refine(CReal.from_int(1), (Dyadic(1), -inf), _sqrt_step(x, budget))
+
+    def raw(q: int) -> Interval:
+        return x.approx(q).sqrt(q)
+
+    return CReal(lambda p: _refined(p, raw, "refining a square root", budget))
 
 
 _SCALE_LO = Dyadic(1, -2)

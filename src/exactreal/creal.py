@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .dyadic import Dyadic, ZERO, decimal_string
-from .errors import DivisorStraddlesZero, EffortExhausted
+from .errors import EffortExhausted, OutsideDomain
 from .interval import Interval
 from .kleenean import (
     BOTTOM,
@@ -171,17 +171,20 @@ def _doubling(start: int, budget: "int | None", what: str):
     raise EffortExhausted(budget, what)
 
 
-def _refined(p: int, raw: Callable[[int], Interval], what: str) -> Interval:
-    """Precision iteration: retry ``raw`` at doubling internal accuracy
-    until the result is tight enough, then round onto the 2**-(p+2)
-    grid to keep mantissas bounded."""
+def _refined(
+    p: int, raw: Callable[[int], Interval], what: str, budget: "int | None" = None
+) -> Interval:
+    """Precision iteration: retry ``raw`` at doubling internal accuracy,
+    also while an operand is outside its operation's domain, until the
+    result is tight enough, then round onto the 2**-(p+2) grid to keep
+    mantissas bounded."""
     target = Dyadic(1, -(p + 1))
-    for q in _doubling(p + 4, None, what):
+    for q in _doubling(p + 4, budget, what):
         try:
             iv = raw(q)
             if iv.width() <= target:
                 return iv.round_out_grid(p + 2)
-        except DivisorStraddlesZero:
+        except OutsideDomain:
             pass
 
 

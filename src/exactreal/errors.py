@@ -22,7 +22,17 @@ class EffortExhausted(ExactRealError):
         super().__init__(msg)
 
 
-class DivisorStraddlesZero(ExactRealError):
+class OutsideDomain(ExactRealError):
+    """An interval operand is not certified to lie in the operation's
+    domain: a divisor contains zero, or a radicand lies below zero.
+
+    Callers at the real-number layer catch this and retry at higher
+    accuracy, so an operand outside the domain exhausts the effort
+    budget.
+    """
+
+
+class DivisorStraddlesZero(OutsideDomain):
     """Interval division was attempted with a divisor containing zero.
 
     Callers at the real-number layer catch this and retry at higher

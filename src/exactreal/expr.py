@@ -2,9 +2,9 @@
 
 Grammar: usual precedence (* / over + -), parentheses, unary minus,
 decimal literals, the variable ``x``, the constant ``pi`` and the
-functions max, abs, sqrt, csqrt.  Non-dyadic decimal literals are kept
-as exact rationals and realized through exact division, so "0.1" stays
-exactly one tenth.
+functions max, abs, sqrt, csqrt.  Decimal literals are kept as exact
+rationals and realized by ``CReal.from_fraction``, one integer floor
+division per precision, so "0.1" stays exactly one tenth.
 """
 
 from __future__ import annotations
@@ -212,21 +212,13 @@ def render(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _realize_number(v: Fraction) -> CReal:
-    den = v.denominator
-    if den & (den - 1) == 0:
-        return CReal.from_fraction(v)
-    # exact rational realized through exact integer division
-    return CReal.from_int(v.numerator) / CReal.from_int(den)
-
-
 def evaluate(e: Expr, env=None, budget: int | None = None):
     """Evaluate to a CReal (or Complex for csqrt results)."""
     env = env or {}
 
     def go(node):
         if isinstance(node, Num):
-            return _realize_number(node.value)
+            return CReal.from_fraction(node.value)
         if isinstance(node, Var):
             if node.name not in env:
                 raise ParseError(f"unbound variable {node.name!r}", 0)

@@ -3,13 +3,15 @@
 An ``Interval`` is the finite approximation of a real number: every
 operation returns an interval containing all pointwise results.  Sums,
 differences and products keep exact endpoints (dyadics are closed under
-them); only division and grid rounding widen.
+them); only division, square root and grid rounding widen.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .dyadic import Dyadic, div_directed
-from .errors import DivisorStraddlesZero
+from .errors import DivisorStraddlesZero, OutsideDomain
 
 
 class Interval:
@@ -116,6 +118,37 @@ class Interval:
             hi = div_directed(a, c if a.sign >= 0 else d, bits, up=True)
         return Interval(lo, hi)
 
+    # -- square root (rounds outward) ---------------------------------
+
+    def sqrt(self, k: int) -> "Interval":
+        """Square roots of the points x >= 0 of the interval, rounded
+        outward onto the grid of multiples of 2**-k.
+
+        The lower end is r = isqrt(floor(lo * 4**k)), with lo clipped at
+        0.  sqrt is concave, so its tangent at n_lo = floor(lo * 4**k)
+        bounds it above: sqrt(n_hi) <= r + 1 + (n_hi - n_lo)/(2r) for
+        r > 0, one small division instead of a second full isqrt.  The
+        tangent overshoots by about d**2/(2r) grid steps for a quotient
+        d, so a ceiling isqrt is taken instead when r = 0 or d**2 > r.
+        The lower end is monotone in the interval; the upper end is not,
+        since a wider interval may take the tighter ceiling isqrt.
+
+        Raises ``OutsideDomain`` when the interval lies below zero;
+        callers at the real layer retry at higher accuracy.
+        """
+        lo, hi = self.lo, self.hi
+        if hi.sign < 0:
+            raise OutsideDomain("radicand interval is negative")
+        n_lo = _floor_scaled(lo.mantissa, lo.exponent + 2 * k) if lo.sign > 0 else 0
+        n_hi = -_floor_scaled(-hi.mantissa, hi.exponent + 2 * k)
+        r = isqrt(n_lo)
+        if r:
+            d = -((n_lo - n_hi) // (2 * r))  # ceil((n_hi - n_lo) / (2r))
+            if d * d <= r:
+                return Interval(Dyadic(r, -k), Dyadic(r + 1 + d, -k))
+        s = isqrt(n_hi)
+        return Interval(Dyadic(r, -k), Dyadic(s if s * s == n_hi else s + 1, -k))
+
     # -- rounding -----------------------------------------------------
 
     def round_out(self, bits: int) -> "Interval":
@@ -133,3 +166,8 @@ class Interval:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         return Interval(lo, hi)
+
+
+def _floor_scaled(m: int, s: int) -> int:
+    """floor(m * 2**s)."""
+    return m << s if s >= 0 else m >> -s

@@ -1,14 +1,13 @@
 """max, pi, trisection root finding, and real/complex square roots."""
 
 from fractions import Fraction
-from math import inf, isqrt
+from math import isqrt
 from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from exactreal import algorithms
 from exactreal.algorithms import (
     Complex,
     csqrt,
@@ -21,9 +20,9 @@ from exactreal.algorithms import (
     real_sqrt,
     sqrt_restricted,
     sqrt_scale,
-    _sqrt_accuracy,
 )
-from exactreal.creal import CReal, refinement_terms, to_decimal
+from exactreal import interval as interval_module
+from exactreal.creal import CReal, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted
 from exactreal.interval import Interval
@@ -204,62 +203,69 @@ class TestRealSqrt:
         assert in_interval(iv, x)
 
 
-def within(t: Fraction, x: Fraction, a) -> bool:
-    """|t - sqrt(x)| <= 2**-a, decided exactly by squares."""
-    if a == inf:
-        return t * t == x
-    if a == -inf:
-        return True
-    eps = Fraction(2) ** -a
-    lower = t - eps
-    return (lower <= 0 or lower * lower <= x) and x <= (t + eps) ** 2
-
-
-# accuracies next to the doubling points 2**k, where the steps' chain
-# of target precisions turns
+# accuracies next to the doubling points 2**k, where the working
+# precisions of the refinement turn
 STRADDLING = sorted({2**k + d for k in range(1, 12) for d in (-1, 0, 1)} | {4000})
 
 dyadics = st.builds(Dyadic, st.integers(-(2**80), 2**80), st.integers(-120, 20))
 
 
 class TestNewtonSqrt:
-    """sqrt_restricted's terms are dyadic points from precision-doubling
-    Newton steps, each certified after the fact by t**2 - x."""
+    """sqrt_restricted is precision iteration over ``Interval.sqrt``,
+    whose integer square root is itself a precision-doubling Newton
+    iteration; no interval division and one full-width isqrt per
+    working precision."""
 
     def record(self, monkeypatch):
-        """Count interval divisions and record the Newton steps' working
-        precisions."""
-        seen = {"divisions": 0, "precisions": []}
-        div, point = Interval.div, algorithms._heron_point
+        """Count interval divisions and integer square roots of
+        operands of at least 10,000 bits."""
+        seen = {"divisions": 0, "wide_isqrts": 0}
+        div = Interval.div
 
         def counted_div(self, other, bits):
             seen["divisions"] += 1
             return div(self, other, bits)
 
-        def recorded_point(xs, t, w):
-            seen["precisions"].append(w)
-            return point(xs, t, w)
+        def counted_isqrt(n):
+            if n.bit_length() >= 10_000:
+                seen["wide_isqrts"] += 1
+            return isqrt(n)
 
         monkeypatch.setattr(Interval, "div", counted_div)
-        monkeypatch.setattr(algorithms, "_heron_point", recorded_point)
+        monkeypatch.setattr(interval_module, "isqrt", counted_isqrt)
         return seen
 
-    def test_sqrt2_steps_double_precision(self, monkeypatch):
+    def test_sqrt2_one_wide_isqrt(self, monkeypatch):
         seen = self.record(monkeypatch)
         iv = real_sqrt(2).approx(10_000)
         assert iv.width() <= Dyadic(1, -10_000)
         assert in_interval(iv.widen(Dyadic(1, -10_000)), sqrt_oracle(Fraction(2), 10_000))
         assert seen["divisions"] == 0
-        # about two full-precision steps in all, not one per iterate
-        assert sum(seen["precisions"]) <= 2.5 * 10_000
+        assert seen["wide_isqrts"] <= 1
 
-    def test_sqrt_sqrt2_steps_double_precision(self, monkeypatch):
+    def test_sqrt_sqrt2_two_wide_isqrts(self, monkeypatch):
         seen = self.record(monkeypatch)
         iv = real_sqrt(real_sqrt(2)).approx(10_000)
         assert iv.lo * iv.lo * iv.lo * iv.lo <= Dyadic(2) <= iv.hi * iv.hi * iv.hi * iv.hi
         assert seen["divisions"] == 0
-        # two square roots, each within the bound of one
-        assert sum(seen["precisions"]) <= 2 * 2.5 * 10_000
+        # one per square root
+        assert seen["wide_isqrts"] <= 2
+
+    @given(lo=dyadics, hi=dyadics, k=st.integers(0, 300), j=st.integers(0, 2**12))
+    def test_interval_sqrt_sound(self, lo, hi, k, j):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assume(hi.sign >= 0)
+        # lo < 0 <= hi, lo >= 0, the point hi, and a width of j steps of
+        # the grid 4**-k, where the upper end comes from the tangent
+        narrow = Interval(hi, hi + Dyadic(j, -2 * k))
+        for box in (Interval(lo, hi), Interval.point(hi), narrow):
+            root = box.sqrt(k)
+            r_lo, r_hi = root.lo.to_fraction(), root.hi.to_fraction()
+            assert r_lo >= 0
+            assert r_lo * r_lo <= max(box.lo.to_fraction(), 0)
+            assert r_hi * r_hi >= box.hi.to_fraction()
+            # both ends on the grid 2**-k
+            assert (r_lo * 2**k).denominator == (r_hi * 2**k).denominator == 1
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -270,32 +276,26 @@ class TestNewtonSqrt:
         ),
         data=st.data(),
     )
-    def test_terms_certified_in_any_order(self, x, indices, data):
+    def test_contains_root_in_any_order(self, x, indices, data):
         # a non-dyadic x arrives as intervals, a dyadic one as a point
         order = data.draw(st.permutations(indices))
-        # refinement_terms in place of limit_refine hands back the terms
-        with mock.patch.object(algorithms, "limit_refine", refinement_terms):
-            term = sqrt_restricted(CReal.from_fraction(x))
-        for n in order:
-            iv = term(n).approx(0)
-            assert iv.lo == iv.hi
-            assert within(iv.lo.to_fraction(), x, n)
+        tries = 0
+        sqrt = Interval.sqrt
 
-    @given(t=dyadics, lo=dyadics, hi=dyadics)
-    def test_accuracy_bound_holds_for_any_point(self, t, lo, hi):
-        lo, hi = min(lo, hi), max(lo, hi)
-        assume(t.sign > 0 and hi.sign >= 0)
-        a = _sqrt_accuracy(t, Interval(lo, hi))
-        tf = t.to_fraction()
-        # |t - sqrt(x)| is largest at an end of the interval
-        for x in (max(lo, Dyadic(0)), hi):
-            assert within(tf, x.to_fraction(), a)
+        def counted(box, k):
+            nonlocal tries
+            tries += 1
+            return sqrt(box, k)
 
-    def test_accuracy_bound_is_tight(self):
-        # t = 3/2 for x = 2: |t - sqrt(2)| = 0.0858, so a = 3
-        assert _sqrt_accuracy(Dyadic(3, -1), Interval.point(Dyadic(2))) == 3
-        assert _sqrt_accuracy(Dyadic(3, -1), Interval.point(Dyadic(9, -2))) == inf
-        assert _sqrt_accuracy(Dyadic(0), Interval.point(Dyadic(2))) == -inf
+        root = sqrt_restricted(CReal.from_fraction(x))
+        with mock.patch.object(Interval, "sqrt", counted):
+            for n in order:
+                iv = root.approx(n)
+                assert iv.width() <= Dyadic(1, -n)
+                lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
+                assert (lo <= 0 or lo * lo <= x) and x <= hi * hi
+        # in [1/4, 2] the first try at each new precision meets the width
+        assert tries <= len(order)
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 1000), Fraction(100)])
     def test_outside_the_scaled_range(self, x):

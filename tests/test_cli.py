@@ -13,6 +13,7 @@ import pytest
 from exactreal.cli import main
 from exactreal.errors import ParseError
 from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse, render
+from exactreal.interval import Interval
 from exactreal import cli
 from exactreal.kleenean import DEFAULT_BUDGET, resolve_budget, set_default_budget
 
@@ -76,6 +77,19 @@ class TestEvaluate:
     def test_non_dyadic_literals_stay_exact(self):
         self.check("0.1*10", Fraction(1))
         self.check("0.1", Fraction(1, 10))
+
+    def test_non_dyadic_literal_makes_no_division(self, monkeypatch):
+        calls = 0
+        div = Interval.div
+
+        def counted(self, other, bits):
+            nonlocal calls
+            calls += 1
+            return div(self, other, bits)
+
+        monkeypatch.setattr(Interval, "div", counted)
+        self.check("4.73", Fraction(473, 100), p=1000)
+        assert calls == 0
 
     def test_with_variable(self):
         from exactreal.creal import CReal

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from exactreal import interval as interval_module
 from exactreal.dyadic import Dyadic, div_directed
-from exactreal.errors import DivisorStraddlesZero
+from exactreal.errors import DivisorStraddlesZero, OutsideDomain
 from exactreal.interval import Interval
 
 
@@ -121,6 +121,45 @@ def test_monotonicity(a, b, pad_a, pad_b):
     assert (wider_a + wider_b).contains_interval(a + b)
     assert (wider_a - wider_b).contains_interval(a - b)
     assert (wider_a * wider_b).contains_interval(a * b)
+
+
+@given(intervals(), small_dyadics, st.integers(min_value=0, max_value=60))
+@example(iv(1, 2), Dyadic(1), 0)
+@example(iv(4, 5), Dyadic(2), 0)
+@example(iv("4.5", "4.5"), Dyadic(1, -1), 3)  # same floor root, 1/8 grid
+def test_sqrt_monotone(a, pad, k):
+    # The lower end is monotone: a wider interval's root starts no higher.
+    # The upper end is not: a subinterval may take the tangent bound while
+    # the wider interval takes the tighter ceiling isqrt ([1, 2] gives
+    # [1, 3], [0, 3] gives [0, 2]).  What holds there is soundness: the
+    # wider root still covers the square roots of the subinterval.
+    if a.hi.sign < 0:
+        return
+    wider = a.widen(abs(pad))
+    root, wider_root = a.sqrt(k), wider.sqrt(k)
+    assert wider_root.lo <= root.lo
+    assert wider_root.hi * wider_root.hi >= a.hi
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 64, 1000])
+def test_sqrt_exact_squares(k):
+    step = Dyadic(1, -k)
+    for box, lo, hi in (
+        (iv(4, 9), 2, 3),
+        (iv(4, 4), 2, 2),
+        (iv("0.25", "2.25"), "0.5", "1.5"),
+        (iv(-1, 9), 0, 3),
+        (iv(0, 0), 0, 0),
+    ):
+        root = box.sqrt(k)
+        assert root.contains_interval(iv(lo, hi))
+        assert root.lo >= Dyadic.parse(str(lo)) - 2 * step
+        assert root.hi <= Dyadic.parse(str(hi)) + 2 * step
+
+
+def test_sqrt_of_negative_interval_raises():
+    with pytest.raises(OutsideDomain):
+        iv(-2, -1).sqrt(10)
 
 
 @given(intervals(), intervals())
