@@ -27,18 +27,12 @@ from .creal import (
 from .dyadic import Dyadic
 from .errors import EffortExhausted
 from .interval import Interval
-from .kleenean import (
-    Branch,
-    _select_with_effort,
-    resolve_budget,
-    select,
-    select_index,
-)
+from .kleenean import Branch, _select_with_effort, select, select_index
 
 # -- maximum and absolute value ---------------------------------------
 
 
-def real_max(x, y, budget: int | None = None) -> CReal:
+def real_max(x, y) -> CReal:
     """max(x, y), as the limit of splitting-based approximations.
 
     At stage n one of ``x > y - 2**-n`` / ``y > x - 2**-n`` is
@@ -49,15 +43,15 @@ def real_max(x, y, budget: int | None = None) -> CReal:
     y = CReal._coerce(y)
 
     def term(n: int) -> CReal:
-        br = split(x, y, Dyadic(1, -n), budget)
+        br = split(x, y, Dyadic(1, -n))
         return x if br is Branch.RIGHT else y
 
     return limit(term)
 
 
-def real_abs(x, budget: int | None = None) -> CReal:
+def real_abs(x) -> CReal:
     x = CReal._coerce(x)
-    return real_max(x, -x, budget)
+    return real_max(x, -x)
 
 
 # -- pi ----------------------------------------------------------------
@@ -110,12 +104,7 @@ def _to_fraction(v) -> Fraction:
     return Fraction(v)
 
 
-def ivt_trisect(
-    f: Callable[[CReal], CReal],
-    a,
-    b,
-    budget: int | None = None,
-) -> CReal:
+def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
     """The unique zero of ``f`` on [a, b], given f(a) < 0 < f(b) or
     f(a) > 0 > f(b); the first step certifies which, and trisects -f in
     the second case.
@@ -136,9 +125,7 @@ def ivt_trisect(
             fa, fb = f(CReal.from_fraction(a)), f(CReal.from_fraction(b))
             rising = less_than(fa, ZERO_REAL) & less_than(ZERO_REAL, fb)
             falling = less_than(ZERO_REAL, fa) & less_than(fb, ZERO_REAL)
-            sign = 1 if select(rising, falling, budget) is Branch.LEFT else -1
-        if n > resolve_budget(budget):
-            raise EffortExhausted(budget, "trisecting to the requested accuracy")
+            sign = 1 if select(rising, falling) is Branch.LEFT else -1
         g = f if sign > 0 else (lambda x: -f(x))
         target = Fraction(1, 1 << n)
         while b - a > target:
@@ -150,7 +137,6 @@ def ivt_trisect(
                     less_than(g(CReal.from_fraction(a1)), ZERO_REAL),
                     less_than(ZERO_REAL, g(CReal.from_fraction(b1))),
                 ),
-                budget,
                 max(0, effort - 1),
             )
             if winner == 0:
@@ -175,7 +161,7 @@ def heron(x, n: int) -> CReal:
     return h
 
 
-def sqrt_restricted(x, budget: int | None = None) -> CReal:
+def sqrt_restricted(x) -> CReal:
     """sqrt(x) for x >= 0 by precision iteration over ``Interval.sqrt``:
     one integer square root per working precision q.  For x in
     [0.25, 2] the first try meets the width; other x >= 0 converge
@@ -185,14 +171,14 @@ def sqrt_restricted(x, budget: int | None = None) -> CReal:
     def raw(q: int) -> Interval:
         return x.approx(q).sqrt(q)
 
-    return CReal(lambda p: _refined(p, raw, "refining a square root", budget))
+    return CReal(lambda p: _refined(p, raw, "refining a square root"))
 
 
 _SCALE_LO = Dyadic(1, -2)
 _SCALE_HI = Dyadic(2)
 
 
-def sqrt_scale(x, budget: int | None = None) -> tuple[int, CReal]:
+def sqrt_scale(x) -> tuple[int, CReal]:
     """Find z with 4**z * x in [0.25, 2], for x > 0.
 
     The exponent is found by Archimedean search: evaluate x at
@@ -200,7 +186,7 @@ def sqrt_scale(x, budget: int | None = None) -> tuple[int, CReal]:
     copy are certified.  Raises ``EffortExhausted`` when x <= 0.
     """
     x = CReal._coerce(x)
-    for q in _doubling(2, budget, "scaling into [0.25, 2]"):
+    for q in _doubling(2, "scaling into [0.25, 2]"):
         iv = x.approx(q)
         if iv.lo.sign > 0:
             # 4**z pushes hi into (1/2, 2]
@@ -211,7 +197,7 @@ def sqrt_scale(x, budget: int | None = None) -> tuple[int, CReal]:
                     return cand, x.scale2(2 * cand)
 
 
-def _zero_until_pinned(small, nonzero, root, zero, budget):
+def _zero_until_pinned(small, nonzero, root, zero):
     """Refinement step with terms 0, ..., 0, r, r, ...: index n emits
     ``zero`` while ``small(n)`` certifies it within 2**-n of every root;
     once ``nonzero`` is certified instead, ``root()`` is pinned as the
@@ -221,7 +207,7 @@ def _zero_until_pinned(small, nonzero, root, zero, budget):
     def step(n: int, x, pinned):
         if pinned is not None:
             return pinned, pinned
-        if select(small(n), nonzero, budget) is Branch.LEFT:
+        if select(small(n), nonzero) is Branch.LEFT:
             return zero, None
         r = root()
         return r, r
@@ -229,7 +215,7 @@ def _zero_until_pinned(small, nonzero, root, zero, budget):
     return step
 
 
-def real_sqrt(x, budget: int | None = None) -> CReal:
+def real_sqrt(x) -> CReal:
     """sqrt(x) for x >= 0, total including 0.
 
     Stage n chooses between |x| < 2**-2n (emit 0, a valid 2**-n
@@ -245,10 +231,10 @@ def real_sqrt(x, budget: int | None = None) -> CReal:
         return less_than(x, bound) & less_than(-bound, x)
 
     def root() -> CReal:
-        z, scaled = sqrt_scale(x, budget)
-        return sqrt_restricted(scaled, budget).scale2(-z)
+        z, scaled = sqrt_scale(x)
+        return sqrt_restricted(scaled).scale2(-z)
 
-    step = _zero_until_pinned(small, less_than(ZERO_REAL, x), root, ZERO_REAL, budget)
+    step = _zero_until_pinned(small, less_than(ZERO_REAL, x), root, ZERO_REAL)
     return limit_refine(ZERO_REAL, None, step)
 
 
@@ -280,11 +266,11 @@ class Complex:
         a, b, c, d = self.re, self.im, other.re, other.im
         return Complex(a * c - b * d, a * d + b * c)
 
-    def norm(self, budget: int | None = None) -> CReal:
-        return real_max(real_abs(self.re, budget), real_abs(self.im, budget), budget)
+    def norm(self) -> CReal:
+        return real_max(real_abs(self.re), real_abs(self.im))
 
 
-def csqrt_nonzero(z: Complex, budget: int | None = None) -> Complex:
+def csqrt_nonzero(z: Complex) -> Complex:
     """A square root of z != 0.
 
     One of the four sign cases im < 0, im > 0, re < 0, re > 0 is
@@ -294,27 +280,26 @@ def csqrt_nonzero(z: Complex, budget: int | None = None) -> Complex:
     a, b = z.re, z.im
     zero = ZERO_REAL
     case = select_index(
-        (less_than(b, zero), less_than(zero, b), less_than(a, zero), less_than(zero, a)),
-        budget,
+        (less_than(b, zero), less_than(zero, b), less_than(a, zero), less_than(zero, a))
     )
-    m = real_sqrt(a * a + b * b, budget)
+    m = real_sqrt(a * a + b * b)
     if case == 0:  # b < 0
-        u = real_sqrt((m + a).scale2(-1), budget)
-        v = real_sqrt((m - a).scale2(-1), budget)
+        u = real_sqrt((m + a).scale2(-1))
+        v = real_sqrt((m - a).scale2(-1))
         return Complex(u, -v)
     if case == 1:  # b > 0
-        u = real_sqrt((m + a).scale2(-1), budget)
-        v = real_sqrt((m - a).scale2(-1), budget)
+        u = real_sqrt((m + a).scale2(-1))
+        v = real_sqrt((m - a).scale2(-1))
         return Complex(u, v)
     if case == 2:  # a < 0: v > 0 is bounded away from zero
-        v = real_sqrt((m - a).scale2(-1), budget)
+        v = real_sqrt((m - a).scale2(-1))
         return Complex(b / v.scale2(1), v)
     # a > 0: u > 0 is bounded away from zero
-    u = real_sqrt((m + a).scale2(-1), budget)
+    u = real_sqrt((m + a).scale2(-1))
     return Complex(u, b / u.scale2(1))
 
 
-def csqrt(z: Complex, budget: int | None = None) -> Complex:
+def csqrt(z: Complex) -> Complex:
     """A square root of z, total including the branch point z = 0.
 
     Refinement with an invariant: while |z| < 2**-2(n+2) remains
@@ -324,14 +309,14 @@ def csqrt(z: Complex, budget: int | None = None) -> Complex:
     like 0, 0, ..., 0, x, x, ...  The real and imaginary parts are
     limits of the same memoized terms, so both come from that one root.
     """
-    nrm = z.norm(budget)
+    nrm = z.norm()
     zero = Complex(0, 0)
 
     def small(n: int):
         return less_than(nrm, CReal.from_dyadic(Dyadic(1, -2 * (n + 2))))
 
     step = _zero_until_pinned(
-        small, less_than(ZERO_REAL, nrm), lambda: csqrt_nonzero(z, budget), zero, budget
+        small, less_than(ZERO_REAL, nrm), lambda: csqrt_nonzero(z), zero
     )
     term = refinement_terms(zero, None, step)
     return Complex(limit(lambda n: term(n).re), limit(lambda n: term(n).im))

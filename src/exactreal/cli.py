@@ -14,7 +14,7 @@ from .creal import CReal, to_decimal
 from .dyadic import Dyadic
 from .errors import EffortExhausted, ParseError
 from .expr import evaluate, parse
-from .kleenean import DEFAULT_BUDGET, resolve_budget, set_default_budget
+from .kleenean import DEFAULT_BUDGET, effort_budget
 
 # bits <-> decimal digits, using rational over/under-estimates of log2(10)
 def _digits_for_bits(bits: int) -> int:
@@ -48,7 +48,7 @@ def _print_value(value, digits: int):
 def _cmd_eval(args) -> int:
     bits, digits = _resolve_accuracy(args)
     ast = parse(args.expr)
-    value = evaluate(ast, budget=args.budget)
+    value = evaluate(ast)
     if isinstance(value, CReal):
         value.approx(bits)
     _print_value(value, digits)
@@ -70,10 +70,10 @@ def _cmd_ivt(args) -> int:
     ast = parse(args.expr)
 
     def f(x: CReal) -> CReal:
-        return evaluate(ast, env={"x": x}, budget=args.budget)
+        return evaluate(ast, env={"x": x})
 
     a, b = _bracket(args.a, args.b)
-    root = ivt_trisect(f, a, b, budget=args.budget)
+    root = ivt_trisect(f, a, b)
     root.approx(bits)
     _print_value(root, digits)
     return 0
@@ -81,8 +81,8 @@ def _cmd_ivt(args) -> int:
 
 def _cmd_sqrt(args) -> int:
     bits, digits = _resolve_accuracy(args)
-    value = evaluate(parse(args.value), budget=args.budget)
-    result = real_sqrt(value, budget=args.budget)
+    value = evaluate(parse(args.value))
+    result = real_sqrt(value)
     result.approx(bits)
     _print_value(result, digits)
     return 0
@@ -90,9 +90,9 @@ def _cmd_sqrt(args) -> int:
 
 def _cmd_csqrt(args) -> int:
     bits, digits = _resolve_accuracy(args)
-    re = evaluate(parse(args.re), budget=args.budget)
-    im = evaluate(parse(args.im), budget=args.budget)
-    result = csqrt(Complex(re, im), budget=args.budget)
+    re = evaluate(parse(args.re))
+    im = evaluate(parse(args.im))
+    result = csqrt(Complex(re, im))
     result.re.approx(bits)
     result.im.approx(bits)
     _print_value(result, digits)
@@ -143,38 +143,32 @@ def _root_quadratic(prec):
 _BENCH_ROWS = {
     "maxpi": {
         "bits": 1000,
-        "build": lambda budget: real_max(0, real_pi() - real_pi(), budget),
+        "build": lambda: real_max(0, real_pi() - real_pi()),
         "verify": _verify_contains_zero,
     },
     "sqrt2": {
         "bits": 10_000,
-        "build": lambda budget: real_sqrt(2, budget),
+        "build": lambda: real_sqrt(2),
         "verify": _verify_sqrt2,
     },
     "sqrtsqrt2": {
         "bits": 10_000,
-        "build": lambda budget: real_sqrt(real_sqrt(2, budget), budget),
+        "build": lambda: real_sqrt(real_sqrt(2)),
         "verify": _verify_sqrtsqrt2,
     },
     "ivt-linear": {
         "bits": 1000,
-        "build": lambda budget: ivt_trisect(
-            lambda x: x - Fraction(1, 2), 0, 1, budget
-        ),
+        "build": lambda: ivt_trisect(lambda x: x - Fraction(1, 2), 0, 1),
         "verify": _verify_near(_root_half),
     },
     "ivt-quadratic": {
         "bits": 1000,
-        "build": lambda budget: ivt_trisect(
-            lambda x: x * (2 - x) - Fraction(1, 2), 0, 1, budget
-        ),
+        "build": lambda: ivt_trisect(lambda x: x * (2 - x) - Fraction(1, 2), 0, 1),
         "verify": _verify_near(_root_quadratic),
     },
     "ivt-sqrt": {
         "bits": 1000,
-        "build": lambda budget: ivt_trisect(
-            lambda x: real_sqrt(x + Fraction(1, 2), budget) - 1, 0, 1, budget
-        ),
+        "build": lambda: ivt_trisect(lambda x: real_sqrt(x + Fraction(1, 2)) - 1, 0, 1),
         "verify": _verify_near(_root_half),
     },
 }
@@ -198,7 +192,7 @@ def _cmd_bench(args) -> int:
         verified = True
         for _ in range(args.repeats):
             start = time.perf_counter()
-            iv = row["build"](args.budget).approx(bits)
+            iv = row["build"]().approx(bits)
             times.append(time.perf_counter() - start)
             if not row["verify"](iv, bits):
                 verified = False
@@ -266,18 +260,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.budget < 0:
         raise SystemExit("--budget must be >= 0")
-    previous_budget = resolve_budget(None)
-    set_default_budget(args.budget)
     try:
-        return args.func(args)
+        with effort_budget(args.budget):
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("expression nests too deeply", file=sys.stderr)
         return 1
     except EffortExhausted as exc:
         print(f"effort exhausted: {exc}", file=sys.stderr)
         return 2
-    finally:
-        set_default_budget(previous_budget)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ Kleenean; equality on the diagonal stays bottom forever.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 from typing import Callable
 
 from .dyadic import Dyadic, ZERO, decimal_string
@@ -22,7 +23,7 @@ from .kleenean import (
     TRUE,
     Branch,
     LazyKleenean,
-    resolve_budget,
+    current_budget,
     select,
 )
 
@@ -33,7 +34,9 @@ class CReal:
     """An exact real: ``approx(p)`` yields an interval of width <= 2**-p.
 
     Queries are idempotent; each value caches its best interval so far
-    and answers coarser queries from the cache.
+    and answers coarser queries from the cache.  A query that misses
+    the cache above the effort budget raises ``EffortExhausted``; exact
+    values are cached at every accuracy and never do.
     """
 
     __slots__ = ("_fn", "_best_p", "_best")
@@ -47,6 +50,8 @@ class CReal:
         p = max(p, 0)
         if self._best_p >= p:
             return self._best
+        if p > current_budget():
+            raise EffortExhausted(current_budget(), f"refining to {p} bits")
         iv = self._fn(p)
         if self._best is not None:
             # both intervals contain the value; keep them consistent
@@ -63,8 +68,9 @@ class CReal:
 
     @classmethod
     def from_dyadic(cls, d: Dyadic) -> "CReal":
-        point = Interval.point(d)
-        return cls(lambda p: point)
+        node = cls(None)
+        node._best_p, node._best = inf, Interval.point(d)
+        return node
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "CReal":
@@ -157,11 +163,11 @@ class CReal:
         return to_decimal(self, digits)
 
 
-def _doubling(start: int, budget: "int | None", what: str):
+def _doubling(start: int, what: str):
     """Working precisions start, 2*start, 4*start, ... capped at the
     budget; raises ``EffortExhausted`` once the budget itself was tried,
     or at once when start is above it."""
-    budget = resolve_budget(budget)
+    budget = current_budget()
     q = start
     while q <= budget:
         yield q
@@ -171,15 +177,13 @@ def _doubling(start: int, budget: "int | None", what: str):
     raise EffortExhausted(budget, what)
 
 
-def _refined(
-    p: int, raw: Callable[[int], Interval], what: str, budget: "int | None" = None
-) -> Interval:
+def _refined(p: int, raw: Callable[[int], Interval], what: str) -> Interval:
     """Precision iteration: retry ``raw`` at doubling internal accuracy,
     also while an operand is outside its operation's domain, until the
     result is tight enough, then round onto the 2**-(p+2) grid to keep
     mantissas bounded."""
     target = Dyadic(1, -(p + 1))
-    for q in _doubling(p + 4, budget, what):
+    for q in _doubling(p + 4, what):
         try:
             iv = raw(q)
             if iv.width() <= target:
@@ -233,13 +237,13 @@ def less_than(x: CReal, y: CReal) -> LazyKleenean:
     return LazyKleenean(fn)
 
 
-def split(x, y, eps, budget: int | None = None) -> Branch:
+def split(x, y, eps) -> Branch:
     """Approximate splitting: Left certifies x < y + eps, Right
     certifies y < x + eps.  Requires eps > 0."""
     x = CReal._coerce(x)
     y = CReal._coerce(y)
     eps = CReal._coerce(eps)
-    return select(less_than(x, y + eps), less_than(y, x + eps), budget)
+    return select(less_than(x, y + eps), less_than(y, x + eps))
 
 
 # -- limits ------------------------------------------------------------
@@ -289,9 +293,9 @@ def limit_refine(seed: CReal, seed_hint, step) -> CReal:
 # -- rounding to integers and decimals ---------------------------------
 
 
-def round_nd(x: CReal, budget: int | None = None) -> int:
+def round_nd(x: CReal) -> int:
     """Nondeterministic rounding: some integer z with z-1 < x < z+1."""
-    for q in _doubling(2, budget, "rounding to an integer"):
+    for q in _doubling(2, "rounding to an integer"):
         iv = x.approx(q)
         # nearest integer to the midpoint
         mid = iv.midpoint()
@@ -301,9 +305,9 @@ def round_nd(x: CReal, budget: int | None = None) -> int:
             return z_int
 
 
-def dyadic_approx(x: CReal, n: int, budget: int | None = None) -> int:
+def dyadic_approx(x: CReal, n: int) -> int:
     """Some integer z with |x - z * 2**-n| <= 2**-n."""
-    return round_nd(x.scale2(n), budget)
+    return round_nd(x.scale2(n))
 
 
 # ceil(log2(10) * d) is bounded above by this rational multiplier

@@ -36,7 +36,8 @@ class DivisorStraddlesZero(OutsideDomain):
     """Interval division was attempted with a divisor containing zero.
 
     Callers at the real-number layer catch this and retry at higher
-    accuracy; it only escapes to users when the divisor really is zero.
+    accuracy; when the divisor really is zero the retries run into the
+    effort budget, so users see ``EffortExhausted`` instead.
     """
 
 

@@ -212,7 +212,7 @@ def render(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def evaluate(e: Expr, env=None, budget: int | None = None):
+def evaluate(e: Expr, env=None):
     """Evaluate to a CReal (or Complex for csqrt results)."""
     env = env or {}
 
@@ -254,13 +254,13 @@ def evaluate(e: Expr, env=None, budget: int | None = None):
                     f"{node.name} does not accept complex arguments", node.pos
                 )
             if node.name == "max":
-                return real_max(args[0], args[1], budget)
+                return real_max(args[0], args[1])
             if node.name == "abs":
-                return real_abs(args[0], budget)
+                return real_abs(args[0])
             if node.name == "sqrt":
-                return real_sqrt(args[0], budget)
+                return real_sqrt(args[0])
             if node.name == "csqrt":
-                return csqrt(Complex(args[0], args[1]), budget)
+                return csqrt(Complex(args[0], args[1]))
         raise TypeError(f"not an expression: {node!r}")
 
     return go(e)

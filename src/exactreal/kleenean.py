@@ -10,22 +10,31 @@ sole source of nondeterminism in the library.
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 from .errors import EffortExhausted
 
 DEFAULT_BUDGET = 1 << 20
-_current_budget = DEFAULT_BUDGET
+_budget: ContextVar[int] = ContextVar("effort_budget", default=DEFAULT_BUDGET)
 
 
-def set_default_budget(budget: int) -> None:
-    """Set the process-wide default effort budget."""
-    global _current_budget
-    _current_budget = budget
+def current_budget() -> int:
+    """The effort budget of the enclosing ``effort_budget`` scope: the
+    largest working precision any node is asked for, and the largest
+    ``select`` effort."""
+    return _budget.get()
 
 
-def resolve_budget(budget: "int | None") -> int:
-    return _current_budget if budget is None else budget
+@contextmanager
+def effort_budget(budget: int):
+    """Bound every query made inside the block by ``budget``."""
+    token = _budget.set(budget)
+    try:
+        yield
+    finally:
+        _budget.reset(token)
 
 
 class Kleenean(enum.Enum):
@@ -124,9 +133,9 @@ def _effort_schedule(budget: int, start: int = 0):
 
 
 def _select_with_effort(
-    candidates: Sequence[LazyKleenean], budget: "int | None", start: int
+    candidates: Sequence[LazyKleenean], start: int
 ) -> tuple[int, int]:
-    budget = resolve_budget(budget)
+    budget = current_budget()
     for n in _effort_schedule(budget, start):
         for i, k in enumerate(candidates):
             if k.at(n) is TRUE:
@@ -134,9 +143,7 @@ def _select_with_effort(
     raise EffortExhausted(budget, "waiting for a true Kleenean in select")
 
 
-def select_index(
-    candidates: Sequence[LazyKleenean], budget: int | None = None, start: int = 0
-) -> int:
+def select_index(candidates: Sequence[LazyKleenean], start: int = 0) -> int:
     """Return the index of a candidate that evaluates to true.
 
     All candidates are queried at each effort level before advancing
@@ -144,12 +151,10 @@ def select_index(
     candidate must eventually be true, otherwise ``EffortExhausted``
     is raised at the budget.
     """
-    return _select_with_effort(candidates, budget, start)[0]
+    return _select_with_effort(candidates, start)[0]
 
 
-def select(
-    a: LazyKleenean, b: LazyKleenean, budget: int | None = None
-) -> Branch:
+def select(a: LazyKleenean, b: LazyKleenean) -> Branch:
     """Nondeterministic choice: Left only if ``a`` certified true,
     Right only if ``b`` did."""
-    return Branch(select_index((a, b), budget))
+    return Branch(select_index((a, b)))

@@ -26,6 +26,7 @@ from exactreal.creal import CReal, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted
 from exactreal.interval import Interval
+from exactreal.kleenean import effort_budget
 
 
 def in_interval(iv: Interval, value: Fraction) -> bool:
@@ -115,8 +116,15 @@ class TestTrisection:
 
     def test_bad_bracket_exhausts_budget(self):
         # f(0) = 1 > 0: no sign change, neither certificate can fire
-        with pytest.raises(EffortExhausted):
-            ivt_trisect(lambda x: x + 1, 0, 1, budget=128).approx(10)
+        with effort_budget(128), pytest.raises(EffortExhausted):
+            ivt_trisect(lambda x: x + 1, 0, 1).approx(10)
+
+    def test_accuracy_above_budget_names_the_budget(self):
+        root = ivt_trisect(lambda x: x - Fraction(1, 2), 0, 1)
+        with effort_budget(1 << 16), pytest.raises(EffortExhausted) as err:
+            root.approx(1 << 20)
+        assert err.value.budget == 1 << 16
+        assert "effort budget 65536 exhausted" in str(err.value)
 
 
 class TestHeron:
@@ -173,8 +181,8 @@ class TestRealSqrt:
         assert in_interval(scaled.approx(30), value)
 
     def test_scale_rejects_zero(self):
-        with pytest.raises(EffortExhausted):
-            sqrt_scale(0, budget=256)
+        with effort_budget(256), pytest.raises(EffortExhausted):
+            sqrt_scale(0)
 
     def test_sqrt_of_zero(self):
         iv = real_sqrt(0).approx(60)
@@ -193,8 +201,8 @@ class TestRealSqrt:
         assert in_interval(real_sqrt(x).approx(80), Fraction(1, 1 << 32))
 
     def test_sqrt_of_negative_exhausts_budget(self):
-        with pytest.raises(EffortExhausted):
-            real_sqrt(-1, budget=256).approx(10)
+        with effort_budget(256), pytest.raises(EffortExhausted):
+            real_sqrt(-1).approx(10)
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(9), Fraction(49, 4)])
     def test_squaring(self, x):
@@ -306,14 +314,15 @@ class TestNewtonSqrt:
         assert in_interval(iv.widen(Dyadic(1, -219)), root)
 
     def test_budget_caps_working_precision(self):
-        with pytest.raises(EffortExhausted):
-            sqrt_restricted(2, budget=64).approx(100)
-        assert in_interval(sqrt_restricted(4, budget=64).approx(40), Fraction(2))
+        with effort_budget(64):
+            with pytest.raises(EffortExhausted):
+                sqrt_restricted(2).approx(100)
+            assert in_interval(sqrt_restricted(4).approx(40), Fraction(2))
 
     def test_negative_exhausts_budget(self):
         # no step certifies a gain, so the working precision doubles to the budget
-        with pytest.raises(EffortExhausted):
-            sqrt_restricted(-1, budget=4096).approx(10)
+        with effort_budget(4096), pytest.raises(EffortExhausted):
+            sqrt_restricted(-1).approx(10)
 
 
 class TestComplex:
@@ -365,8 +374,8 @@ class TestComplexSqrt:
         assert_squares_to(w, re, im, 100)
 
     def test_nonzero_rejects_origin(self):
-        with pytest.raises(EffortExhausted):
-            csqrt_nonzero(Complex(0, 0), budget=256)
+        with effort_budget(256), pytest.raises(EffortExhausted):
+            csqrt_nonzero(Complex(0, 0))
 
     def test_total_at_branch_point(self):
         w = csqrt(Complex(0, 0))

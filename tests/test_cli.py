@@ -11,17 +11,11 @@ from math import isqrt
 import pytest
 
 from exactreal.cli import main
-from exactreal.errors import ParseError
+from exactreal.errors import EffortExhausted, ParseError
 from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse, render
 from exactreal.interval import Interval
 from exactreal import cli
-from exactreal.kleenean import DEFAULT_BUDGET, resolve_budget, set_default_budget
-
-
-@pytest.fixture(autouse=True)
-def restore_budget():
-    yield
-    set_default_budget(DEFAULT_BUDGET)
+from exactreal.kleenean import current_budget, effort_budget
 
 
 class TestParse:
@@ -112,6 +106,18 @@ class TestEvaluate:
             evaluate(parse("abs(csqrt(0, 2))"))
 
 
+class TestScopedBudget:
+    @pytest.mark.parametrize("src", ["1/(pi-pi)", "1/0"])
+    def test_arithmetic_nodes_obey_the_scope(self, src):
+        value = evaluate(parse(src))
+        start = time.perf_counter()
+        with effort_budget(64), pytest.raises(EffortExhausted) as err:
+            value.approx(10)
+        assert time.perf_counter() - start < 1
+        assert err.value.budget == 64
+        assert "effort budget 64 exhausted" in str(err.value)
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -146,15 +152,24 @@ class TestCli:
         assert "does not accept complex arguments" in err
 
     def test_budget_restored_after_main(self, capsys):
-        before = resolve_budget(None)
+        before = current_budget()
         assert self.run(capsys, "eval", "1/0", "--budget", "16")[0] == 2
-        assert resolve_budget(None) == before
+        assert current_budget() == before
         assert self.run(capsys, "eval", "2", "--budget", "16")[0] == 0
-        assert resolve_budget(None) == before
+        assert current_budget() == before
 
     @pytest.mark.parametrize(
         "argv",
-        [("eval", "1/3"), ("sqrt", "2"), ("csqrt", "2", "1"), ("ivt", "x-0.5", "0", "1")],
+        [
+            ("eval", "1/3"),
+            ("sqrt", "2"),
+            ("csqrt", "2", "1"),
+            ("ivt", "x-0.5", "0", "1"),
+            # leaves that are not arithmetic nodes
+            ("eval", "pi"),
+            ("eval", "0.1"),
+            ("eval", "max(1,2)"),
+        ],
     )
     def test_bits_above_budget_exit_2(self, capsys, argv):
         # no working precision above the budget is ever tried
@@ -173,6 +188,15 @@ class TestCli:
         oracle = isqrt(2 * 10 ** (2 * digits))
         # int(Decimal(s)) has no digit limit, unlike int(s)
         assert abs(int(Decimal(whole + frac)) - oracle) <= 2
+
+    @pytest.mark.parametrize(
+        "src", ["+".join(["1"] * 400), "(" * 300 + "1" + ")" * 300], ids=["sum", "parens"]
+    )
+    def test_deep_nesting_exits_1(self, capsys, src):
+        code, _, err = self.run(capsys, "eval", src)
+        assert code == 1
+        assert err == "expression nests too deeply\n"
+        assert "Traceback" not in err
 
     def test_parse_error_exits_1(self, capsys):
         code, _, err = self.run(capsys, "eval", "1+")
@@ -245,9 +269,9 @@ class TestCli:
         ],
     )
     def test_negative_budget_rejected(self, argv):
-        before = resolve_budget(None)
+        before = current_budget()
         assert self.rejected(*argv, "--budget", "-1") == "--budget must be >= 0"
-        assert resolve_budget(None) == before
+        assert current_budget() == before
 
     def test_bench_seed_row_machine_output(self, capsys):
         code, out, _ = self.run(

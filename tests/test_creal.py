@@ -26,8 +26,9 @@ from exactreal.kleenean import (
     Branch,
     DEFAULT_BUDGET,
     LazyKleenean,
+    current_budget,
+    effort_budget,
     select,
-    set_default_budget,
 )
 
 rationals = st.fractions(
@@ -105,12 +106,29 @@ class TestArithmetic:
             assert in_interval(iv, Fraction(355, 113 * 7))
 
     def test_division_by_zero_exhausts_budget(self):
-        set_default_budget(512)
-        try:
-            with pytest.raises(EffortExhausted):
-                (CReal.from_int(1) / CReal.from_int(0)).approx(5)
-        finally:
-            set_default_budget(DEFAULT_BUDGET)
+        with effort_budget(512), pytest.raises(EffortExhausted):
+            (CReal.from_int(1) / CReal.from_int(0)).approx(5)
+
+    def test_exact_leaves_need_no_budget(self):
+        with effort_budget(0):
+            assert CReal.from_int(2).approx(1000) == Interval.point(Dyadic(2))
+            assert CReal.from_fraction(Fraction(3, 8)).approx(50).width() == Dyadic(0)
+
+    def test_non_dyadic_leaf_obeys_budget(self):
+        with effort_budget(64), pytest.raises(EffortExhausted) as err:
+            CReal.from_fraction(Fraction(1, 3)).approx(65)
+        assert err.value.budget == 64
+
+    def test_exhausted_scope_answers_under_default(self):
+        # 60 bits pass the top node's check; its operands are asked for more
+        x = real_sqrt(2) / 3
+        with effort_budget(64), pytest.raises(EffortExhausted):
+            x.approx(60)
+        assert current_budget() == DEFAULT_BUDGET
+        iv = x.approx(200)
+        assert iv.width() <= Dyadic(1, -200)
+        lo, hi = iv.lo.to_fraction() * 3, iv.hi.to_fraction() * 3
+        assert lo * lo <= 2 <= hi * hi
 
     def test_approx_is_idempotent(self):
         x = CReal.from_int(1) / 3

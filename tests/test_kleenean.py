@@ -10,7 +10,10 @@ from exactreal.kleenean import (
     TRUE,
     Branch,
     Kleenean,
+    DEFAULT_BUDGET,
     LazyKleenean,
+    current_budget,
+    effort_budget,
     select,
     select_index,
 )
@@ -134,9 +137,22 @@ class TestSelect:
         assert select(LazyKleenean.const(BOTTOM), LazyKleenean.const(TRUE)) is Branch.RIGHT
 
     def test_budget_exhaustion(self):
-        with pytest.raises(EffortExhausted) as err:
-            select(LazyKleenean.const(FALSE), LazyKleenean.const(FALSE), budget=100)
+        with effort_budget(100), pytest.raises(EffortExhausted) as err:
+            select(LazyKleenean.const(FALSE), LazyKleenean.const(FALSE))
         assert err.value.budget == 100
+
+    def test_scope_restored_after_raise(self):
+        with pytest.raises(EffortExhausted):
+            with effort_budget(8):
+                assert current_budget() == 8
+                select(LazyKleenean.const(FALSE), LazyKleenean.const(FALSE))
+        assert current_budget() == DEFAULT_BUDGET
+
+    def test_nested_scopes(self):
+        with effort_budget(100):
+            with effort_budget(7):
+                assert current_budget() == 7
+            assert current_budget() == 100
 
     def test_never_returns_a_false_branch(self):
         assert select(LazyKleenean.const(FALSE), staged(40, TRUE)) is Branch.RIGHT
@@ -162,7 +178,8 @@ class TestSelect:
     @given(onsets, onsets)
     def test_select_picks_a_true_branch(self, i, j):
         a, b = staged(i, TRUE), staged(j, TRUE)
-        br = select(a, b, budget=1000)
+        with effort_budget(1000):
+            br = select(a, b)
         chosen = a if br is Branch.LEFT else b
         # the chosen side really is true at some effort within budget
         assert any(chosen.at(n) is TRUE for n in range(1001))
