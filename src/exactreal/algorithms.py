@@ -10,6 +10,7 @@ handled by an invariant-guided refinement limit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .creal import (
@@ -26,7 +27,6 @@ from .creal import (
 )
 from .dyadic import Dyadic
 from .errors import EffortExhausted
-from .interval import Interval
 from .kleenean import Branch, _select_with_effort, select, select_index
 
 # -- maximum and absolute value ---------------------------------------
@@ -167,11 +167,9 @@ def sqrt_restricted(x) -> CReal:
     [0.25, 2] the first try meets the width; other x >= 0 converge
     after a few doublings, and x < 0 exhausts the budget."""
     x = CReal._coerce(x)
-
-    def raw(q: int) -> Interval:
-        return x.approx(q).sqrt(q)
-
-    return CReal(lambda p: _refined(p, raw, "refining a square root"))
+    return CReal(
+        partial(_refined, x, None, lambda a, _, q: a.sqrt(q), "refining a square root")
+    )
 
 
 _SCALE_LO = Dyadic(1, -2)
@@ -283,14 +281,10 @@ def csqrt_nonzero(z: Complex) -> Complex:
         (less_than(b, zero), less_than(zero, b), less_than(a, zero), less_than(zero, a))
     )
     m = real_sqrt(a * a + b * b)
-    if case == 0:  # b < 0
+    if case < 2:  # b < 0 or b > 0: v takes the sign of b
         u = real_sqrt((m + a).scale2(-1))
         v = real_sqrt((m - a).scale2(-1))
-        return Complex(u, -v)
-    if case == 1:  # b > 0
-        u = real_sqrt((m + a).scale2(-1))
-        v = real_sqrt((m - a).scale2(-1))
-        return Complex(u, v)
+        return Complex(u, -v if case == 0 else v)
     if case == 2:  # a < 0: v > 0 is bounded away from zero
         v = real_sqrt((m - a).scale2(-1))
         return Complex(b / v.scale2(1), v)

@@ -9,11 +9,11 @@ import time
 from fractions import Fraction
 from math import isqrt
 
-from .algorithms import Complex, csqrt, ivt_trisect, real_max, real_pi, real_sqrt
+from .algorithms import Complex, ivt_trisect, real_max, real_pi, real_sqrt
 from .creal import CReal, to_decimal
 from .dyadic import Dyadic
 from .errors import EffortExhausted, ParseError
-from .expr import evaluate, parse
+from .expr import Call, evaluate, parse
 from .kleenean import DEFAULT_BUDGET, effort_budget
 
 # bits <-> decimal digits, using rational over/under-estimates of log2(10)
@@ -46,11 +46,18 @@ def _print_value(value, digits: int):
 
 
 def _cmd_eval(args) -> int:
+    """Also runs ``sqrt v`` and ``csqrt re im``, as ``eval "sqrt(v)"``
+    and ``eval "csqrt(re, im)"``."""
     bits, digits = _resolve_accuracy(args)
-    ast = parse(args.expr)
+    if args.command == "sqrt":
+        ast = Call("sqrt", (parse(args.value),))
+    elif args.command == "csqrt":
+        ast = Call("csqrt", (parse(args.re), parse(args.im)))
+    else:
+        ast = parse(args.expr)
     value = evaluate(ast)
-    if isinstance(value, CReal):
-        value.approx(bits)
+    for part in (value.re, value.im) if isinstance(value, Complex) else (value,):
+        part.approx(bits)
     _print_value(value, digits)
     return 0
 
@@ -76,26 +83,6 @@ def _cmd_ivt(args) -> int:
     root = ivt_trisect(f, a, b)
     root.approx(bits)
     _print_value(root, digits)
-    return 0
-
-
-def _cmd_sqrt(args) -> int:
-    bits, digits = _resolve_accuracy(args)
-    value = evaluate(parse(args.value))
-    result = real_sqrt(value)
-    result.approx(bits)
-    _print_value(result, digits)
-    return 0
-
-
-def _cmd_csqrt(args) -> int:
-    bits, digits = _resolve_accuracy(args)
-    re = evaluate(parse(args.re))
-    im = evaluate(parse(args.im))
-    result = csqrt(Complex(re, im))
-    result.re.approx(bits)
-    result.im.approx(bits)
-    _print_value(result, digits)
     return 0
 
 
@@ -237,13 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sqrt = sub.add_parser("sqrt", help="square root of a nonnegative value")
     p_sqrt.add_argument("value")
     common(p_sqrt)
-    p_sqrt.set_defaults(func=_cmd_sqrt)
+    p_sqrt.set_defaults(func=_cmd_eval)
 
     p_csqrt = sub.add_parser("csqrt", help="complex square root of re + i*im")
     p_csqrt.add_argument("re")
     p_csqrt.add_argument("im")
     common(p_csqrt)
-    p_csqrt.set_defaults(func=_cmd_csqrt)
+    p_csqrt.set_defaults(func=_cmd_eval)
 
     p_bench = sub.add_parser("bench", help="run the verified benchmark table")
     p_bench.add_argument("--bits", type=int, default=None)

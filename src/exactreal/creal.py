@@ -11,6 +11,7 @@ Kleenean; equality on the diagonal stays bottom forever.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import inf
 from typing import Callable
 
@@ -27,14 +28,12 @@ from .kleenean import (
     select,
 )
 
-Number = "CReal | Dyadic | Fraction | int"
-
-
 class CReal:
     """An exact real: ``approx(p)`` yields an interval of width <= 2**-p.
 
     Queries are idempotent; each value caches its best interval so far
-    and answers coarser queries from the cache.  A query that misses
+    and answers coarser queries from the cache.  Answers at different
+    accuracies each contain the value but need not nest.  A query that misses
     the cache above the effort budget raises ``EffortExhausted``; exact
     values are cached at every accuracy and never do.
     """
@@ -53,9 +52,6 @@ class CReal:
         if p > current_budget():
             raise EffortExhausted(current_budget(), f"refining to {p} bits")
         iv = self._fn(p)
-        if self._best is not None:
-            # both intervals contain the value; keep them consistent
-            iv = iv.intersect(self._best)
         self._best_p = p
         self._best = iv
         return iv
@@ -177,30 +173,29 @@ def _doubling(start: int, what: str):
     raise EffortExhausted(budget, what)
 
 
-def _refined(p: int, raw: Callable[[int], Interval], what: str) -> Interval:
-    """Precision iteration: retry ``raw`` at doubling internal accuracy,
-    also while an operand is outside its operation's domain, until the
-    result is tight enough, then round onto the 2**-(p+2) grid to keep
-    mantissas bounded."""
+def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
+    """The refinement node of every binary operation, and of the square
+    root (``y`` None): ``CReal(partial(_refined, x, y, combine, what))``.
+    Precision iteration asks the operands at doubling working precision
+    q and combines their intervals, retrying also while an operand is
+    outside the operation's domain, until the result is tight enough,
+    then rounds onto the 2**-(p+2) grid to keep mantissas bounded."""
     target = Dyadic(1, -(p + 1))
     for q in _doubling(p + 4, what):
         try:
-            iv = raw(q)
+            # Right operand first: in a Heron step (h + x/h)/2 the quotient
+            # asks h at a higher precision than the sum does, so asking it
+            # first leaves the sum's request to h to hit h's cache.
+            b = None if y is None else y.approx(q)
+            iv = combine(x.approx(q), b, q)
             if iv.width() <= target:
                 return iv.round_out_grid(p + 2)
         except OutsideDomain:
             pass
 
 
-def _binary(x: CReal, y: CReal, combine, what: str):
-    def raw(q: int) -> Interval:
-        # Right operand first: in a Heron step (h + x/h)/2 the quotient
-        # asks h at a higher precision than the sum does, so asking it
-        # first leaves the sum's request to h to hit h's cache.
-        b = y.approx(q)
-        return combine(x.approx(q), b, q)
-
-    return CReal(lambda p: _refined(p, raw, what))
+def _binary(x: CReal, y: CReal, combine, what: str) -> CReal:
+    return CReal(partial(_refined, x, y, combine, what))
 
 
 def _div_intervals(a: Interval, b: Interval, q: int) -> Interval:

@@ -9,6 +9,7 @@ division per precision, so "0.1" stays exactly one tenth.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,6 +65,7 @@ class Call:
 Expr = Union[Num, Var, Const, BinOp, Neg, Call]
 
 _FUNCTIONS = {"max": 2, "abs": 1, "sqrt": 1, "csqrt": 2}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 _CONSTANTS = {"pi"}
 
 _TOKEN = re.compile(
@@ -113,35 +115,22 @@ class _Parser:
             raise ParseError(f"unexpected {text!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def expr(self, level: int = 1) -> Expr:
+        """Precedence climbing: operators binding at ``level`` or tighter
+        associate to the left."""
+        left = self.atom()
         while True:
             kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                left = BinOp(text, left, self.term(), pos)
-            else:
+            prec = _PRECEDENCE.get(text, 0) if kind == "op" else 0
+            if prec < level:
                 return left
-
-    def term(self) -> Expr:
-        left = self.unary()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                left = BinOp(text, left, self.unary(), pos)
-            else:
-                return left
-
-    def unary(self) -> Expr:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
             self.next()
-            return Neg(self.unary())
-        return self.atom()
+            left = BinOp(text, left, self.expr(prec + 1), pos)
 
     def atom(self) -> Expr:
         kind, text, pos = self.next()
+        if kind == "op" and text == "-":
+            return Neg(self.atom())
         if kind == "num":
             return Num(Fraction(text))
         if kind == "ident":
@@ -212,6 +201,14 @@ def render(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
 def evaluate(e: Expr, env=None):
     """Evaluate to a CReal (or Complex for csqrt results)."""
     env = env or {}
@@ -231,22 +228,11 @@ def evaluate(e: Expr, env=None):
             left = go(node.left)
             right = go(node.right)
             if isinstance(left, Complex) or isinstance(right, Complex):
+                if node.op == "/":
+                    raise ParseError("complex division is not supported", node.pos)
                 left = left if isinstance(left, Complex) else Complex(left, 0)
                 right = right if isinstance(right, Complex) else Complex(right, 0)
-                if node.op == "+":
-                    return left + right
-                if node.op == "-":
-                    return left - right
-                if node.op == "*":
-                    return left * right
-                raise ParseError("complex division is not supported", node.pos)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
+            return _ARITHMETIC[node.op](left, right)
         if isinstance(node, Call):
             args = [go(a) for a in node.args]
             if any(isinstance(a, Complex) for a in args):

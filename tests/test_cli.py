@@ -36,6 +36,13 @@ class TestParse:
             "+", Num(Fraction(1)), BinOp("*", Num(Fraction(2)), Num(Fraction(3)))
         )
         assert parse("-x/2") == BinOp("/", Neg(Var("x")), Num(Fraction(2)))
+        assert parse("2*-3") == BinOp("*", Num(Fraction(2)), Neg(Num(Fraction(3))))
+        assert parse("-(1+2)*3") == BinOp(
+            "*",
+            Neg(BinOp("+", Num(Fraction(1)), Num(Fraction(2)))),
+            Num(Fraction(3)),
+        )
+        assert parse("--2") == Neg(Neg(Num(Fraction(2))))
 
     def test_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -56,6 +63,9 @@ class TestParse:
             "sqrt(2)/3 + abs(-x)",
             "csqrt(0.25, -1.5)",
             "-(1+x)*0.125",
+            "2*-3",
+            "-(1+2)*3",
+            "--2",
         ],
     )
     def test_render_round_trip(self, src):
@@ -146,6 +156,17 @@ class TestCli:
         assert code == 2
         assert "16384" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("sqrt", "csqrt(1,0)"), ("csqrt", "csqrt(1,0)", "0")],
+        ids=["sqrt", "csqrt"],
+    )
+    def test_complex_argument_exits_1(self, capsys, argv):
+        code, _, err = self.run(capsys, *argv)
+        assert code == 1
+        assert "does not accept complex arguments" in err
+        assert len(err.splitlines()) == 1
+
     def test_eval_nested_csqrt_exits_1(self, capsys):
         code, _, err = self.run(capsys, "eval", "csqrt(csqrt(1,0),0)")
         assert code == 1
@@ -190,7 +211,19 @@ class TestCli:
         assert abs(int(Decimal(whole + frac)) - oracle) <= 2
 
     @pytest.mark.parametrize(
-        "src", ["+".join(["1"] * 400), "(" * 300 + "1" + ")" * 300], ids=["sum", "parens"]
+        "src,value",
+        [("+".join(["1"] * 400), "400.000"), ("(" * 300 + "1" + ")" * 300, "1.000")],
+        ids=["sum", "parens"],
+    )
+    def test_deep_nesting_evaluates(self, capsys, src, value):
+        code, out, _ = self.run(capsys, "eval", src)
+        assert code == 0
+        assert out.startswith(value)
+
+    @pytest.mark.parametrize(
+        "src",
+        ["+".join(["1"] * 3000), "(" * 3000 + "1" + ")" * 3000],
+        ids=["sum", "parens"],
     )
     def test_deep_nesting_exits_1(self, capsys, src):
         code, _, err = self.run(capsys, "eval", src)
