@@ -1,57 +1,49 @@
 """Worked algorithms over exact reals.
 
-Maximum via approximate splitting, pi from a Machin-style series with
-certified tails, root finding by trisection, real square roots by
-precision iteration over the interval square root, and the total
-nondeterministic complex square root whose branch-point case is
-handled by an invariant-guided refinement limit.
+Maximum, absolute value and real square root as interval primitives,
+pi from a Machin-style series with certified tails, root finding by
+trisection, and the total nondeterministic complex square root whose
+branch-point case is handled by an invariant-guided refinement limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .creal import (
     CReal,
     ZERO_REAL,
+    _binary,
     _doubling,
     _mag_exp,
-    _refined,
     less_than,
     limit,
     limit_refine,
     refinement_terms,
-    split,
 )
 from .dyadic import Dyadic
 from .errors import EffortExhausted
+from .interval import Interval
 from .kleenean import Branch, _select_with_effort, select, select_index
 
 # -- maximum and absolute value ---------------------------------------
 
 
 def real_max(x, y) -> CReal:
-    """max(x, y), as the limit of splitting-based approximations.
-
-    At stage n one of ``x > y - 2**-n`` / ``y > x - 2**-n`` is
-    certified; the corresponding argument is within 2**-n of the
-    maximum.
-    """
-    x = CReal._coerce(x)
-    y = CReal._coerce(y)
-
-    def term(n: int) -> CReal:
-        br = split(x, y, Dyadic(1, -n))
-        return x if br is Branch.RIGHT else y
-
-    return limit(term)
+    """max(x, y) by precision iteration over the interval maximum, which
+    is monotone and no wider than its operands: no choice is made."""
+    return _binary(
+        CReal._coerce(x),
+        CReal._coerce(y),
+        lambda a, b, q: Interval(max(a.lo, b.lo), max(a.hi, b.hi)),
+        "maximum",
+    )
 
 
 def real_abs(x) -> CReal:
-    x = CReal._coerce(x)
-    return real_max(x, -x)
+    """|x| by precision iteration over the interval absolute value."""
+    return _binary(CReal._coerce(x), None, lambda a, _, q: abs(a), "absolute value")
 
 
 # -- pi ----------------------------------------------------------------
@@ -162,14 +154,10 @@ def heron(x, n: int) -> CReal:
 
 
 def sqrt_restricted(x) -> CReal:
-    """sqrt(x) for x >= 0 by precision iteration over ``Interval.sqrt``:
-    one integer square root per working precision q.  For x in
-    [0.25, 2] the first try meets the width; other x >= 0 converge
-    after a few doublings, and x < 0 exhausts the budget."""
-    x = CReal._coerce(x)
-    return CReal(
-        partial(_refined, x, None, lambda a, _, q: a.sqrt(q), "refining a square root")
-    )
+    """The paper's square root restricted to x in [0.25, 2]: the node
+    of ``real_sqrt``, whose first working precision meets the width
+    there."""
+    return real_sqrt(x)
 
 
 _SCALE_LO = Dyadic(1, -2)
@@ -195,45 +183,17 @@ def sqrt_scale(x) -> tuple[int, CReal]:
                     return cand, x.scale2(2 * cand)
 
 
-def _zero_until_pinned(small, nonzero, root, zero):
-    """Refinement step with terms 0, ..., 0, r, r, ...: index n emits
-    ``zero`` while ``small(n)`` certifies it within 2**-n of every root;
-    once ``nonzero`` is certified instead, ``root()`` is pinned as the
-    hint for all later indices, so the limit is one root, never a blend.
-    """
-
-    def step(n: int, x, pinned):
-        if pinned is not None:
-            return pinned, pinned
-        if select(small(n), nonzero) is Branch.LEFT:
-            return zero, None
-        r = root()
-        return r, r
-
-    return step
-
-
 def real_sqrt(x) -> CReal:
-    """sqrt(x) for x >= 0, total including 0.
-
-    Stage n chooses between |x| < 2**-2n (emit 0, a valid 2**-n
-    approximation) and x > 0 (scale into [0.25, 2], take
-    ``sqrt_restricted``, rescale; the choice is then pinned for all
-    later stages).  For x < 0 neither case is certifiable and the
-    effort budget is exhausted.
-    """
-    x = CReal._coerce(x)
-
-    def small(n: int):
-        bound = CReal.from_dyadic(Dyadic(1, -2 * n))
-        return less_than(x, bound) & less_than(-bound, x)
-
-    def root() -> CReal:
-        z, scaled = sqrt_scale(x)
-        return sqrt_restricted(scaled).scale2(-z)
-
-    step = _zero_until_pinned(small, less_than(ZERO_REAL, x), root, ZERO_REAL)
-    return limit_refine(ZERO_REAL, None, step)
+    """sqrt(x) for x >= 0, total including 0, by precision iteration
+    over ``Interval.sqrt``: one integer square root per working
+    precision q.  The radicand is clipped at 0 and sqrt(hi) - sqrt(lo)
+    <= sqrt(hi - lo), so every x >= 0, including a hidden zero, meets
+    the width by q = 2p + 8, one doubling past the first try; for x in
+    [0.25, 2] the first try meets it.  A radicand certified below zero
+    raises ``EffortExhausted`` at once."""
+    return _binary(
+        CReal._coerce(x), None, lambda a, _, q: a.sqrt(q), "refining a square root"
+    )
 
 
 # -- complex numbers ---------------------------------------------------
@@ -305,12 +265,16 @@ def csqrt(z: Complex) -> Complex:
     """
     nrm = z.norm()
     zero = Complex(0, 0)
+    nonzero = less_than(ZERO_REAL, nrm)
 
-    def small(n: int):
-        return less_than(nrm, CReal.from_dyadic(Dyadic(1, -2 * (n + 2))))
+    def step(n: int, w, pinned):
+        if pinned is not None:
+            return pinned, pinned
+        small = less_than(nrm, CReal.from_dyadic(Dyadic(1, -2 * (n + 2))))
+        if select(small, nonzero) is Branch.LEFT:
+            return zero, None
+        root = csqrt_nonzero(z)
+        return root, root
 
-    step = _zero_until_pinned(
-        small, less_than(ZERO_REAL, nrm), lambda: csqrt_nonzero(z), zero
-    )
     term = refinement_terms(zero, None, step)
     return Complex(limit(lambda n: term(n).re), limit(lambda n: term(n).im))

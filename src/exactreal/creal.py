@@ -16,7 +16,7 @@ from math import inf
 from typing import Callable
 
 from .dyadic import Dyadic, ZERO, decimal_string
-from .errors import EffortExhausted, OutsideDomain
+from .errors import DivisorStraddlesZero, EffortExhausted, OutsideDomain
 from .interval import Interval
 from .kleenean import (
     BOTTOM,
@@ -174,12 +174,14 @@ def _doubling(start: int, what: str):
 
 
 def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
-    """The refinement node of every binary operation, and of the square
-    root (``y`` None): ``CReal(partial(_refined, x, y, combine, what))``.
+    """The refinement node of every binary operation and of the unary
+    interval primitives (``y`` None): square root and absolute value.
     Precision iteration asks the operands at doubling working precision
-    q and combines their intervals, retrying also while an operand is
-    outside the operation's domain, until the result is tight enough,
-    then rounds onto the 2**-(p+2) grid to keep mantissas bounded."""
+    q and combines their intervals until the result is tight enough,
+    then rounds onto the 2**-(p+2) grid to keep mantissas bounded.  A
+    divisor that straddles zero is retried at the next q; an operand
+    certified outside the domain (a negative radicand) is refused at
+    once, since no higher q can bring it back."""
     target = Dyadic(1, -(p + 1))
     for q in _doubling(p + 4, what):
         try:
@@ -190,11 +192,13 @@ def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
             iv = combine(x.approx(q), b, q)
             if iv.width() <= target:
                 return iv.round_out_grid(p + 2)
-        except OutsideDomain:
+        except DivisorStraddlesZero:
             pass
+        except OutsideDomain:
+            raise EffortExhausted(current_budget(), what) from None
 
 
-def _binary(x: CReal, y: CReal, combine, what: str) -> CReal:
+def _binary(x: CReal, y: CReal | None, combine, what: str) -> CReal:
     return CReal(partial(_refined, x, y, combine, what))
 
 

@@ -26,18 +26,19 @@ class OutsideDomain(ExactRealError):
     """An interval operand is not certified to lie in the operation's
     domain: a divisor contains zero, or a radicand lies below zero.
 
-    Callers at the real-number layer catch this and retry at higher
-    accuracy, so an operand outside the domain exhausts the effort
-    budget.
+    Only a divisor that straddles zero (``DivisorStraddlesZero``) may
+    still be nonzero, so only that case is retried at higher accuracy.
+    A radicand below zero is certified negative: the real-number layer
+    turns it into ``EffortExhausted`` at once.
     """
 
 
 class DivisorStraddlesZero(OutsideDomain):
     """Interval division was attempted with a divisor containing zero.
 
-    Callers at the real-number layer catch this and retry at higher
-    accuracy; when the divisor really is zero the retries run into the
-    effort budget, so users see ``EffortExhausted`` instead.
+    The one domain failure that callers at the real-number layer retry
+    at higher accuracy; when the divisor really is zero the retries run
+    into the effort budget, so users see ``EffortExhausted`` instead.
     """
 
 

@@ -133,8 +133,9 @@ class Interval:
         The lower end is monotone in the interval; the upper end is not,
         since a wider interval may take the tighter ceiling isqrt.
 
-        Raises ``OutsideDomain`` when the interval lies below zero;
-        callers at the real layer retry at higher accuracy.
+        Raises ``OutsideDomain`` when the interval lies below zero; the
+        radicand is then certified negative, and the real layer refuses
+        it without a retry.
         """
         lo, hi = self.lo, self.hi
         if hi.sign < 0:

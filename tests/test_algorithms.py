@@ -21,7 +21,7 @@ from exactreal.algorithms import (
     sqrt_restricted,
     sqrt_scale,
 )
-from exactreal import interval as interval_module
+from exactreal import algorithms as algorithms_module, interval as interval_module
 from exactreal.creal import CReal, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted
@@ -203,6 +203,23 @@ class TestRealSqrt:
     def test_sqrt_of_negative_exhausts_budget(self):
         with effort_budget(256), pytest.raises(EffortExhausted):
             real_sqrt(-1).approx(10)
+
+    @pytest.mark.parametrize(
+        "radicand", [lambda: 0 - real_pi(), lambda: -1], ids=["minus_pi", "minus_one"]
+    )
+    def test_certified_negative_is_refused_at_once(self, monkeypatch, radicand):
+        # under the default budget: no retry asks pi at a higher precision
+        asked = [0]
+        pi_midpoint = algorithms_module._pi_midpoint
+
+        def counted(n):
+            asked.append(n)
+            return pi_midpoint(n)
+
+        monkeypatch.setattr(algorithms_module, "_pi_midpoint", counted)
+        with pytest.raises(EffortExhausted):
+            real_sqrt(radicand()).approx(10)
+        assert max(asked) <= 64
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(9), Fraction(49, 4)])
     def test_squaring(self, x):

@@ -14,8 +14,8 @@ from exactreal.cli import main
 from exactreal.errors import EffortExhausted, ParseError
 from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse, render
 from exactreal.interval import Interval
-from exactreal import cli
-from exactreal.kleenean import current_budget, effort_budget
+from exactreal import algorithms, cli
+from exactreal.kleenean import LazyKleenean, current_budget, effort_budget
 
 
 class TestParse:
@@ -109,6 +109,21 @@ class TestEvaluate:
         iv = z.im.approx(60)
         assert iv.lo.to_fraction() <= 2 <= iv.hi.to_fraction()
 
+    def test_max_abs_sqrt_make_no_choice(self, monkeypatch):
+        tests = 0
+        at = LazyKleenean.at
+
+        def counted(self, effort):
+            nonlocal tests
+            tests += 1
+            return at(self, effort)
+
+        monkeypatch.setattr(LazyKleenean, "at", counted)
+        value = evaluate(parse("max(sqrt(2), 1.4142) - abs(sqrt(3) - sqrt(5))"))
+        # sqrt(2) - (sqrt(5) - sqrt(3)) = 0.9101...
+        assert value.to_decimal(2000).startswith("0.9101")
+        assert tests == 0
+
     def test_complex_restrictions(self):
         with pytest.raises(ParseError):
             evaluate(parse("1 / csqrt(0, 2)"))
@@ -155,6 +170,34 @@ class TestCli:
         code, _, err = self.run(capsys, "eval", "1/(pi-pi)", "--budget", "16384")
         assert code == 2
         assert "16384" in err and len(err.splitlines()) == 1
+
+    def test_eval_sqrt_of_negative_exits_2(self, capsys):
+        # the radicand is certified negative at the first working precision
+        start = time.perf_counter()
+        code, _, err = self.run(capsys, "eval", "sqrt(0-pi)")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert err.startswith("effort exhausted") and len(err.splitlines()) == 1
+
+    def test_hidden_zero_asks_pi_at_few_bits(self, capsys, monkeypatch):
+        # a branch point hidden behind three nested roots: each root asks
+        # its radicand at about twice the bits, so 2**3, times 2 of slack
+        asked = []
+        pi_midpoint = algorithms._pi_midpoint
+
+        def counted(n):
+            asked.append(n)
+            return pi_midpoint(n)
+
+        monkeypatch.setattr(algorithms, "_pi_midpoint", counted)
+        z = "(6+(pi-pi))-(6+(pi-pi))"
+        src = f"csqrt(sqrt(sqrt({z}) - sqrt({z})), pi - pi)"
+        code, out, _ = self.run(capsys, "eval", src, "--digits", "40")
+        assert code == 0
+        assert out.split() == ["0." + "0" * 40] * 2
+        bits = cli._bits_for_digits(40)
+        assert bits == 135
+        assert max(asked) <= 16 * bits
 
     @pytest.mark.parametrize(
         "argv",
@@ -212,8 +255,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "src,value",
-        [("+".join(["1"] * 400), "400.000"), ("(" * 300 + "1" + ")" * 300, "1.000")],
-        ids=["sum", "parens"],
+        [
+            ("+".join(["1"] * 400), "400.000"),
+            ("(" * 300 + "1" + ")" * 300, "1.000"),
+            ("max(1," * 13 + "1" + ")" * 13, "1.000"),
+            ("max(1," * 40 + "1" + ")" * 40, "1.000"),
+        ],
+        ids=["sum", "parens", "max13", "max40"],
     )
     def test_deep_nesting_evaluates(self, capsys, src, value):
         code, out, _ = self.run(capsys, "eval", src)
