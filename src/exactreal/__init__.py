@@ -1,85 +1,4 @@
 """Exact real computation: lazy Kleeneans with select, interval-backed
 reals with semi-decidable comparison, fast-Cauchy and nondeterministic
-limits, and the algorithms built on them."""
-
-from .algorithms import (
-    Complex,
-    csqrt,
-    csqrt_nonzero,
-    heron,
-    ivt_trisect,
-    real_abs,
-    real_max,
-    real_pi,
-    real_sqrt,
-    sqrt_restricted,
-    sqrt_scale,
-)
-from .creal import (
-    CReal,
-    dyadic_approx,
-    less_than,
-    limit,
-    limit_refine,
-    round_nd,
-    split,
-    to_decimal,
-)
-from .dyadic import Dyadic
-from .errors import (
-    DivisorStraddlesZero,
-    EffortExhausted,
-    ExactRealError,
-    ExponentOverflow,
-    ParseError,
-)
-from .interval import Interval
-from .kleenean import (
-    BOTTOM,
-    DEFAULT_BUDGET,
-    FALSE,
-    TRUE,
-    Branch,
-    Kleenean,
-    LazyKleenean,
-    select,
-    select_index,
-)
-
-__all__ = [
-    "BOTTOM",
-    "Branch",
-    "Complex",
-    "CReal",
-    "DEFAULT_BUDGET",
-    "DivisorStraddlesZero",
-    "Dyadic",
-    "EffortExhausted",
-    "ExactRealError",
-    "ExponentOverflow",
-    "FALSE",
-    "Interval",
-    "Kleenean",
-    "LazyKleenean",
-    "ParseError",
-    "TRUE",
-    "csqrt",
-    "csqrt_nonzero",
-    "dyadic_approx",
-    "heron",
-    "ivt_trisect",
-    "less_than",
-    "limit",
-    "limit_refine",
-    "real_abs",
-    "real_max",
-    "real_pi",
-    "real_sqrt",
-    "round_nd",
-    "select",
-    "select_index",
-    "split",
-    "sqrt_restricted",
-    "sqrt_scale",
-    "to_decimal",
-]
+limits, and the algorithms built on them.  The package exports nothing;
+import from its modules (``exactreal.creal``, ``exactreal.algorithms``)."""

@@ -10,19 +10,16 @@ from fractions import Fraction
 from math import isqrt
 
 from .algorithms import Complex, ivt_trisect, real_max, real_pi, real_sqrt
-from .creal import CReal, to_decimal
+from .creal import CReal, bits_for_digits, to_decimal
 from .dyadic import Dyadic
 from .errors import EffortExhausted, ParseError
 from .expr import Call, evaluate, parse
 from .kleenean import DEFAULT_BUDGET, effort_budget
 
-# bits <-> decimal digits, using rational over/under-estimates of log2(10)
+
+# decimal digits that ``bits`` bits of accuracy carry: 0.30103 <= log10(2)
 def _digits_for_bits(bits: int) -> int:
     return max(1, (bits - 2) * 30103 // 100000)
-
-
-def _bits_for_digits(digits: int) -> int:
-    return 3322 * digits // 1000 + 3
 
 
 def _resolve_accuracy(args) -> tuple[int, int]:
@@ -30,7 +27,7 @@ def _resolve_accuracy(args) -> tuple[int, int]:
     if args.digits is not None:
         if args.digits < 1:
             raise SystemExit("--digits must be >= 1")
-        return _bits_for_digits(args.digits), args.digits
+        return bits_for_digits(args.digits), args.digits
     bits = args.bits if args.bits is not None else 200
     if bits < 1:
         raise SystemExit("--bits must be >= 1")
@@ -77,7 +74,10 @@ def _cmd_ivt(args) -> int:
     ast = parse(args.expr)
 
     def f(x: CReal) -> CReal:
-        return evaluate(ast, env={"x": x})
+        value = evaluate(ast, env={"x": x})
+        if isinstance(value, Complex):
+            raise ParseError("ivt needs a real-valued expression", 0)
+        return value
 
     a, b = _bracket(args.a, args.b)
     root = ivt_trisect(f, a, b)

@@ -28,6 +28,35 @@ from .kleenean import (
     select,
 )
 
+
+def _operator(combine, what: str):
+    """CReal's ``x op y`` and its reflected form ``y op x``: each
+    coerces both operands and builds one ``_binary`` node."""
+
+    def method(x, y):
+        x, y = CReal._coerce(x), CReal._coerce(y)
+        if x is NotImplemented or y is NotImplemented:
+            return NotImplemented
+        return _binary(x, y, combine, what)
+
+    return method, lambda x, y: method(y, x)
+
+
+def _div_intervals(a: Interval, b: Interval, q: int) -> Interval:
+    # enough significant bits that relative rounding error stays below 2**-(q+2)
+    num_mag = max(_mag_exp(a.lo), _mag_exp(a.hi))
+    den_mag = min(_mag_exp(b.lo), _mag_exp(b.hi)) - 1
+    bits = max(8, q + 4 + num_mag - den_mag)
+    return a.div(b, bits)
+
+
+def _mag_exp(d: Dyadic) -> int:
+    """Smallest e with |d| <= 2**e (0 for zero)."""
+    if d.mantissa == 0:
+        return 0
+    return abs(d.mantissa).bit_length() + d.exponent
+
+
 class CReal:
     """An exact real: ``approx(p)`` yields an interval of width <= 2**-p.
 
@@ -70,10 +99,10 @@ class CReal:
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "CReal":
-        den = fr.denominator
-        if den & (den - 1) == 0:
-            return cls.from_dyadic(Dyadic(fr.numerator, -(den.bit_length() - 1)))
-        num = fr.numerator
+        try:
+            return cls.from_dyadic(Dyadic.from_fraction(fr))
+        except ValueError:
+            num, den = fr.numerator, fr.denominator
 
         def fn(p: int) -> Interval:
             k = p + 2
@@ -96,45 +125,10 @@ class CReal:
             return CReal.from_fraction(value)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _binary(self, other, lambda a, b, q: a + b, "addition")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _binary(self, other, lambda a, b, q: a - b, "subtraction")
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _binary(self, other, lambda a, b, q: a * b, "multiplication")
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _binary(self, other, _div_intervals, "division")
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+    __add__, __radd__ = _operator(lambda a, b, q: a + b, "addition")
+    __sub__, __rsub__ = _operator(lambda a, b, q: a - b, "subtraction")
+    __mul__, __rmul__ = _operator(lambda a, b, q: a * b, "multiplication")
+    __truediv__, __rtruediv__ = _operator(_div_intervals, "division")
 
     def __neg__(self):
         return CReal(lambda p: -self.approx(p))
@@ -144,19 +138,6 @@ class CReal:
         if k == 0:
             return self
         return CReal(lambda p: self.approx(max(0, p + k)).scale2(k))
-
-    # -- comparison ---------------------------------------------------
-
-    def lt(self, other) -> LazyKleenean:
-        return less_than(self, self._coerce(other))
-
-    def gt(self, other) -> LazyKleenean:
-        return less_than(self._coerce(other), self)
-
-    # -- output -------------------------------------------------------
-
-    def to_decimal(self, digits: int) -> str:
-        return to_decimal(self, digits)
 
 
 def _doubling(start: int, what: str):
@@ -200,21 +181,6 @@ def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
 
 def _binary(x: CReal, y: CReal | None, combine, what: str) -> CReal:
     return CReal(partial(_refined, x, y, combine, what))
-
-
-def _div_intervals(a: Interval, b: Interval, q: int) -> Interval:
-    # enough significant bits that relative rounding error stays below 2**-(q+2)
-    num_mag = max(_mag_exp(a.lo), _mag_exp(a.hi))
-    den_mag = min(_mag_exp(b.lo), _mag_exp(b.hi)) - 1
-    bits = max(8, q + 4 + num_mag - den_mag)
-    return a.div(b, bits)
-
-
-def _mag_exp(d: Dyadic) -> int:
-    """Smallest e with |d| <= 2**e (0 for zero)."""
-    if d.mantissa == 0:
-        return 0
-    return abs(d.mantissa).bit_length() + d.exponent
 
 
 # -- comparison and splitting -----------------------------------------
@@ -309,24 +275,26 @@ def dyadic_approx(x: CReal, n: int) -> int:
     return round_nd(x.scale2(n))
 
 
-# ceil(log2(10) * d) is bounded above by this rational multiplier
-_LOG2_10_NUM, _LOG2_10_DEN = 3322, 1000
+def bits_for_digits(digits: int) -> int:
+    """The accuracy in bits that ``digits`` decimal digits need: 3.322
+    is above log2(10), and the 3 extra bits leave room to round."""
+    return 3322 * digits // 1000 + 3
 
 
 def to_decimal(x: CReal, digits: int) -> str:
     """Decimal rendering with |x - printed| <= 10**-digits."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    p = _LOG2_10_NUM * digits // _LOG2_10_DEN + 3
-    mid = x.approx(p).midpoint()
-    scaled = mid.mantissa * 10 ** digits
+    mid = x.approx(bits_for_digits(digits)).midpoint()
+    unit = 10 ** digits
+    scaled = mid.mantissa * unit
     if mid.exponent >= 0:
         n = scaled << mid.exponent
     else:
         den = 1 << -mid.exponent
         n = (2 * scaled + den) // (2 * den)  # round to nearest
     sign = "-" if n < 0 else ""
-    whole, frac = divmod(abs(n), 10 ** digits)
+    whole, frac = divmod(abs(n), unit)
     return f"{sign}{decimal_string(whole)}.{decimal_string(frac).rjust(digits, '0')}"
 
 

@@ -79,26 +79,14 @@ class Dyadic:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
-
-    @classmethod
     def from_fraction(cls, fr: Fraction) -> "Dyadic":
         """Exact conversion; the denominator must be a power of two."""
         den = fr.denominator
         if den & (den - 1):
-            raise ValueError(f"{fr} is not a dyadic rational")
+            # a fixed message: CReal.from_fraction catches this for every
+            # non-dyadic rational, and formatting a huge one costs O(n**2)
+            raise ValueError("not a dyadic rational")
         return cls(fr.numerator, -(den.bit_length() - 1))
-
-    @classmethod
-    def parse(cls, text: str) -> "Dyadic":
-        """Parse a decimal literal that is exactly representable.
-
-        Decimals whose fractional part is not a power-of-two fraction
-        (e.g. ``0.1``) are rejected here; higher layers realize those
-        as exact rationals instead.
-        """
-        return cls.from_fraction(Fraction(text))
 
     # -- conversions --------------------------------------------------
 
@@ -117,10 +105,6 @@ class Dyadic:
         sign = "-" if scaled < 0 else ""
         digits = decimal_string(abs(scaled)).rjust(shift + 1, "0")
         return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
-
-    def to_hex_string(self) -> str:
-        sign = "-" if self.mantissa < 0 else ""
-        return f"{sign}0x{abs(self.mantissa):x}p{self.exponent:+d}"
 
     def __repr__(self):
         return f"Dyadic({self.mantissa}, {self.exponent})"
@@ -277,7 +261,6 @@ class Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)
 
 
 def div_directed(a: Dyadic, b: Dyadic, bits: int, up: bool) -> Dyadic:

@@ -35,6 +35,7 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     name: str
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class _Parser:
                     )
                 return Call(text, tuple(args), pos)
             if text == "x":
-                return Var("x")
+                return Var("x", pos)
             raise ParseError(f"unknown name {text!r}", pos)
         if kind == "op" and text == "(":
             e = self.expr()
@@ -218,7 +219,7 @@ def evaluate(e: Expr, env=None):
             return CReal.from_fraction(node.value)
         if isinstance(node, Var):
             if node.name not in env:
-                raise ParseError(f"unbound variable {node.name!r}", 0)
+                raise ParseError(f"unbound variable {node.name!r}", node.pos)
             return env[node.name]
         if isinstance(node, Const):
             return real_pi()

@@ -40,9 +40,6 @@ class Interval:
             isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
         )
 
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     # -- queries ------------------------------------------------------
 
     def width(self) -> Dyadic:

@@ -11,6 +11,7 @@ from math import isqrt
 import pytest
 
 from exactreal.cli import main
+from exactreal.creal import bits_for_digits, to_decimal
 from exactreal.errors import EffortExhausted, ParseError
 from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse, render
 from exactreal.interval import Interval
@@ -121,7 +122,7 @@ class TestEvaluate:
         monkeypatch.setattr(LazyKleenean, "at", counted)
         value = evaluate(parse("max(sqrt(2), 1.4142) - abs(sqrt(3) - sqrt(5))"))
         # sqrt(2) - (sqrt(5) - sqrt(3)) = 0.9101...
-        assert value.to_decimal(2000).startswith("0.9101")
+        assert to_decimal(value, 2000).startswith("0.9101")
         assert tests == 0
 
     def test_complex_restrictions(self):
@@ -195,7 +196,7 @@ class TestCli:
         code, out, _ = self.run(capsys, "eval", src, "--digits", "40")
         assert code == 0
         assert out.split() == ["0." + "0" * 40] * 2
-        bits = cli._bits_for_digits(40)
+        bits = bits_for_digits(40)
         assert bits == 135
         assert max(asked) <= 16 * bits
 
@@ -284,6 +285,11 @@ class TestCli:
         assert code == 1
         assert "column 3" in err
 
+    def test_unbound_variable_reports_its_column(self, capsys):
+        code, _, err = self.run(capsys, "eval", "1+x")
+        assert code == 1
+        assert err == "parse error: unbound variable 'x' (column 3)\n"
+
     def test_ivt_linear(self, capsys):
         code, out, _ = self.run(capsys, "ivt", "x-0.5", "0", "1", "--bits", "60")
         assert code == 0
@@ -298,6 +304,12 @@ class TestCli:
         code, out, _ = self.run(capsys, "ivt", "0.5-x", "0", "1", "--bits", "60")
         assert code == 0
         assert out.startswith("0.5000000")
+
+    def test_ivt_complex_expression_exits_1(self, capsys):
+        code, out, err = self.run(capsys, "ivt", "csqrt(x,0)", "0", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "parse error: ivt needs a real-valued expression (column 1)\n"
 
     def test_ivt_bad_bracket_exits_2(self, capsys):
         code, _, err = self.run(

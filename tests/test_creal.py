@@ -157,7 +157,7 @@ class TestComparison:
     def test_trichotomy_on_rationals(self, a, b):
         if a == b:
             return
-        verdict = settle(CReal.from_fraction(a).lt(CReal.from_fraction(b)), 64)
+        verdict = settle(less_than(CReal.from_fraction(a), CReal.from_fraction(b)), 64)
         assert verdict is not BOTTOM
         assert (verdict is TRUE) == (a < b)
 

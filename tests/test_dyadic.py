@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from exactreal.dyadic import ONE, ZERO, Dyadic, decimal_string, div_directed
+from exactreal.dyadic import ZERO, Dyadic, decimal_string, div_directed
 from exactreal.errors import ExponentOverflow
 
 dyadics = st.builds(
@@ -88,9 +88,10 @@ class TestRounding:
         # 2.25 rounded to 2 bits of precision
         assert Dyadic(9, -2).round_down(2) == Dyadic(2)
         assert Dyadic(9, -2).round_up(2) == Dyadic(5, -1)
+        one = Dyadic(1)
         for p in range(1, 8):
-            assert ONE.round_down(p) == ONE
-            assert ONE.round_up(p) == ONE
+            assert one.round_down(p) == one
+            assert one.round_up(p) == one
 
     @given(dyadics, st.integers(min_value=1, max_value=40))
     def test_bracketing(self, d, p):
@@ -122,23 +123,20 @@ class TestStringsAndParsing:
         assert str(Dyadic(-9, -2)) == "-2.25"
         assert str(Dyadic(3, 2)) == "12"
 
-    def test_hex_rendering(self):
-        assert Dyadic(-9, -2).to_hex_string() == "-0x9p-2"
-
     def test_parse_exact_decimals(self):
-        assert Dyadic.parse("2.25") == Dyadic(9, -2)
-        assert Dyadic.parse("-0.5") == Dyadic(-1, -1)
-        assert Dyadic.parse("7") == Dyadic(7)
+        assert Dyadic.from_fraction(Fraction("2.25")) == Dyadic(9, -2)
+        assert Dyadic.from_fraction(Fraction("-0.5")) == Dyadic(-1, -1)
+        assert Dyadic.from_fraction(Fraction("7")) == Dyadic(7)
 
     def test_parse_rejects_non_dyadic(self):
         with pytest.raises(ValueError):
-            Dyadic.parse("0.1")
+            Dyadic.from_fraction(Fraction("0.1"))
         with pytest.raises(ValueError):
             Dyadic.from_fraction(Fraction(1, 3))
 
     @given(dyadics)
     def test_decimal_round_trip(self, d):
-        assert Dyadic.parse(d.to_decimal_string()) == d
+        assert Dyadic.from_fraction(Fraction(d.to_decimal_string())) == d
 
 
 class TestDirectedDivision:
@@ -166,7 +164,7 @@ class TestDirectedDivision:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            div_directed(ONE, ZERO, 10, up=False)
+            div_directed(Dyadic(1), ZERO, 10, up=False)
 
 
 class TestDecimalString:

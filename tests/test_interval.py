@@ -12,7 +12,7 @@ from exactreal.interval import Interval
 
 
 def iv(lo, hi):
-    return Interval(Dyadic.parse(str(lo)), Dyadic.parse(str(hi)))
+    return Interval(Dyadic.from_fraction(Fraction(str(lo))), Dyadic.from_fraction(Fraction(str(hi))))
 
 
 small_dyadics = st.builds(
@@ -153,8 +153,8 @@ def test_sqrt_exact_squares(k):
     ):
         root = box.sqrt(k)
         assert root.contains_interval(iv(lo, hi))
-        assert root.lo >= Dyadic.parse(str(lo)) - 2 * step
-        assert root.hi <= Dyadic.parse(str(hi)) + 2 * step
+        assert root.lo >= Dyadic.from_fraction(Fraction(str(lo))) - 2 * step
+        assert root.hi <= Dyadic.from_fraction(Fraction(str(hi))) + 2 * step
 
 
 def test_sqrt_of_negative_interval_raises():
