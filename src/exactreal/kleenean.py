@@ -114,7 +114,7 @@ class LazyKleenean:
         return LazyKleenean(lambda n: self.at(n) | other.at(n))
 
 
-def _effort_schedule(budget: int, start: int = 0):
+def _effort_schedule(budget: int, start: int):
     """Deterministic effort levels start, start+1, start+2, start+4, ...
     capped at the budget.
 
@@ -143,7 +143,7 @@ def _select_with_effort(
     raise EffortExhausted(budget, "waiting for a true Kleenean in select")
 
 
-def select_index(candidates: Sequence[LazyKleenean], start: int = 0) -> int:
+def select_index(candidates: Sequence[LazyKleenean]) -> int:
     """Return the index of a candidate that evaluates to true.
 
     All candidates are queried at each effort level before advancing
@@ -151,7 +151,7 @@ def select_index(candidates: Sequence[LazyKleenean], start: int = 0) -> int:
     candidate must eventually be true, otherwise ``EffortExhausted``
     is raised at the budget.
     """
-    return _select_with_effort(candidates, start)[0]
+    return _select_with_effort(candidates, 0)[0]
 
 
 def select(a: LazyKleenean, b: LazyKleenean) -> Branch:

@@ -12,6 +12,7 @@ import pytest
 
 from exactreal.cli import main
 from exactreal.creal import bits_for_digits, to_decimal
+from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted, ParseError
 from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse, render
 from exactreal.interval import Interval
@@ -202,7 +203,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [("sqrt", "csqrt(1,0)"), ("csqrt", "csqrt(1,0)", "0")],
+        [("eval", "sqrt(csqrt(1,0))"), ("eval", "csqrt(csqrt(1,0), 0)")],
         ids=["sqrt", "csqrt"],
     )
     def test_complex_argument_exits_1(self, capsys, argv):
@@ -227,8 +228,8 @@ class TestCli:
         "argv",
         [
             ("eval", "1/3"),
-            ("sqrt", "2"),
-            ("csqrt", "2", "1"),
+            ("eval", "sqrt(2)"),
+            ("eval", "csqrt(2, 1)"),
             ("ivt", "x-0.5", "0", "1"),
             # leaves that are not arithmetic nodes
             ("eval", "pi"),
@@ -319,12 +320,12 @@ class TestCli:
         assert "effort" in err
 
     def test_sqrt_command(self, capsys):
-        code, out, _ = self.run(capsys, "sqrt", "2", "--digits", "10")
+        code, out, _ = self.run(capsys, "eval", "sqrt(2)", "--digits", "10")
         assert code == 0
         assert out.strip() in ("1.4142135623", "1.4142135624")
 
     def test_csqrt_command(self, capsys):
-        code, out, _ = self.run(capsys, "csqrt", "0", "2", "--digits", "8")
+        code, out, _ = self.run(capsys, "eval", "csqrt(0,2)", "--digits", "8")
         assert code == 0
         re_v, im_v = (Fraction(s) for s in out.strip().splitlines())
         # either root of 2i: (1+i) or -(1+i), up to an ulp in the last place
@@ -356,8 +357,8 @@ class TestCli:
         [
             ("eval", "1"),
             ("ivt", "x", "0", "1"),
-            ("sqrt", "2"),
-            ("csqrt", "0", "2"),
+            ("eval", "sqrt(2)"),
+            ("eval", "csqrt(0, 2)"),
             ("bench", "--seed-row", "maxpi"),
         ],
     )
@@ -366,29 +367,54 @@ class TestCli:
         assert self.rejected(*argv, "--budget", "-1") == "--budget must be >= 0"
         assert current_budget() == before
 
-    def test_bench_seed_row_machine_output(self, capsys):
-        code, out, _ = self.run(
-            capsys,
-            "bench",
-            "--seed-row",
-            "sqrt2",
-            "--bits",
-            "500",
-            "--machine",
-        )
+    def test_bench_seed_row_verifies(self, capsys):
+        code, out, _ = self.run(capsys, "bench", "--seed-row", "sqrt2", "--bits", "500")
         assert code == 0
-        assert "name=sqrt2 bits=500" in out
-        assert "verified=true" in out
+        (row,) = out.strip().splitlines()[1:]
+        assert row.split()[:2] == ["sqrt2", "500"] and row.endswith("ok")
 
     def test_bench_failed_row_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._BENCH_ROWS["maxpi"], "verify", lambda iv, bits: False)
+        bits, build, _ = cli._BENCH_ROWS["maxpi"]
+        monkeypatch.setitem(cli._BENCH_ROWS, "maxpi", (bits, build, lambda x: x - 1))
         code, out, _ = self.run(capsys, "bench", "--seed-row", "maxpi", "--bits", "50")
         assert code == 1
         assert out.strip().splitlines()[-1].endswith("FAILED")
 
-    def test_bench_unknown_row(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--seed-row", "nope"])
+    def test_bench_unknown_row(self):
+        assert "invalid choice: 'nope'" in self.rejected("bench", "--seed-row", "nope")
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            ((), "required: command"),
+            (("eval",), "required: expr"),
+            (("eval", "1", "--bits", "x"), "invalid int value: 'x'"),
+            (("nope",), "invalid choice: 'nope'"),
+            (("sqrt", "2"), "invalid choice: 'sqrt'"),
+            (("csqrt", "0", "2"), "invalid choice: 'csqrt'"),
+        ],
+        ids=["no-command", "no-expr", "bits-not-int", "unknown", "sqrt", "csqrt"],
+    )
+    def test_usage_error_exits_1(self, argv, fragment):
+        # exit 2 is left to an exhausted effort budget
+        message = self.rejected(*argv)
+        assert message.startswith("exactreal") and fragment in message
+
+    def test_exact_rule_rejects_an_interval_that_misses_the_value(self):
+        def rejects(row, iv, bits):
+            return not cli._verified(iv, bits, cli._BENCH_ROWS[row][2])
+
+        # narrow enough, but wholly above the root 1/2
+        half = Dyadic(1, -1)
+        above_half = Interval(half + Dyadic(1, -12), half + Dyadic(1, -11))
+        assert rejects("ivt-linear", above_half, 10)
+        # lo**2 > 2: wholly above sqrt(2), one ulp of 2**-20 past the floor oracle
+        r = isqrt(2 << 40)
+        above_sqrt2 = Interval(Dyadic(r + 1, -20), Dyadic(r + 2, -20))
+        assert Fraction(r + 1, 1 << 20) ** 2 > 2
+        assert rejects("sqrt2", above_sqrt2, 20)
+        # and accepts the floor oracle's own bracket
+        assert not rejects("sqrt2", Interval(Dyadic(r, -20), Dyadic(r + 1, -20)), 20)
 
     def test_bench_all_rows_verify_at_small_bits(self, capsys):
         code, out, _ = self.run(capsys, "bench", "--bits", "150")
@@ -415,6 +441,13 @@ def test_python_m_exactreal_eval():
     proc = run_module("eval", "1+1", "--digits", "3")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2.000"
+
+
+def test_python_m_exactreal_usage_error_exits_1():
+    proc = run_module("eval")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("exactreal eval: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_python_m_exactreal_invalid_bracket_exits_1():
