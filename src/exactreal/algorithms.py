@@ -1,14 +1,15 @@
 """Worked algorithms over exact reals.
 
-Maximum, absolute value and real square root as interval primitives,
-pi from a Machin-style series with certified tails, root finding by
-trisection, and the total nondeterministic complex square root whose
-branch-point case is handled by an invariant-guided refinement limit.
+Maximum, absolute value, real square root and pi (an exact Chudnovsky
+sum) as interval primitives, root finding by trisection, and the total
+nondeterministic complex square root whose branch-point case is
+handled by an invariant-guided refinement limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from .creal import (
@@ -23,7 +24,6 @@ from .creal import (
     refinement_terms,
 )
 from .dyadic import Dyadic
-from .errors import EffortExhausted
 from .interval import Interval
 from .kleenean import Branch, _select_with_effort, select, select_index
 
@@ -49,42 +49,66 @@ def real_abs(x) -> CReal:
 # -- pi ----------------------------------------------------------------
 
 
-def _atan_inv_bounds(m: int, g: int) -> tuple[int, int]:
-    """Integer bounds [lo, hi] on ``atan(1/m) * 2**g``.
+# Chudnovsky: 1/pi = 12 sum_k t_k / 640320**(3/2), where
+# t_k = (-1)**k (6k)! (A + Bk) / ((3k)! k!**3 640320**(3k))
+_A, _B, _C3_24 = 13591409, 545140134, 640320**3 // 24
 
-    Alternating Gregory series with floored terms; the floor errors and
-    the truncation tail are absorbed into an explicit error count.
+
+def _pqt(a: int, b: int) -> tuple[int, int, int]:
+    """Exact binary splitting of the terms a <= k < b (Haible &
+    Papanikolaou).  With p(k) = (6k-5)(2k-1)(6k-1), q(k) = k**3
+    640320**3 / 24 and p(0) = q(0) = 1, t_k = (-1)**k (A + Bk) times the
+    product of p(j)/q(j) over j <= k.  P and Q are the products of p
+    and q over [a, b), and T / Q is the sum over [a, b) of (-1)**k
+    (A + Bk) prod_{a <= j <= k} p(j)/q(j): over [0, n), t_0 + ... +
+    t_(n-1)."""
+    if b - a == 1:
+        if a == 0:
+            return 1, 1, _A
+        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        t = p * (_A + _B * a)
+        return p, a * a * a * _C3_24, -t if a & 1 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _pqt(a, m)
+    p2, q2, t2 = _pqt(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _pi_interval(p: int) -> Interval:
+    """An interval of width <= 2**-p around pi = 426880 sqrt(10005) / S,
+    S = sum_k t_k, from n terms summed exactly as T / Q.  Proof, with
+    g = p + 2 and n = (g + 30)//41 + 1, so g <= 41n - 31:
+
+    - |t_k / t_(k-1)| < 24 * 72 (1 + B/A) / 640320**3 < 2**-41, since
+      p(k) < 72 k**3.  With t_0 = A < 2**24 the tail |S - T/Q| is below
+      2A 2**-41n <= 2**(25-41n), so e = (Q >> (41n-25)) + 1 exceeds
+      |S - T/Q| Q, and S Q lies in (T - e, T + e).
+    - s = T/Q is within 2A 2**-41 of A, so s > 2**23, and
+      eps = e/Q <= 2**(25-41n) + 1/Q < 2 < s: T - e > 0.
+    - r = isqrt(10005 4**g) <= sqrt(10005) 2**g < r + 1, so pi 2**g
+      lies in (426880 r Q/(T+e), 426880 (r+1) Q/(T-e)); lo floors the
+      first bound and hi ceils the second.
+    - hi - lo < X + 2 with X = 426880 (s + eps (1+2r)) / (s**2 - eps**2)
+      < 2**-4 (1 + eps (1+2r)/s) (1 + 2**-43), as 426880/s < 2**-4.
+      With 1 + 2r < 2**(g+8) and Q >= (640320**3/24)**(n-1) >
+      2**(53(n-1)), eps (1+2r)/s < 2**(g+10-41n) + 2**(g-15-53(n-1))
+      <= 2**-21 + 2**-5.  So X < 1, hi - lo <= 2 and the width is at
+      most 2**(1-g) < 2**-p.
+
+    No rounding happens inside the sum, so no guard bits grow with n.
     """
-    total = 0
-    k = 0
-    power = m
-    m2 = m * m
-    one = 1 << g
-    while True:
-        term = one // ((2 * k + 1) * power)
-        if term == 0:
-            break
-        total += -term if k & 1 else term
-        k += 1
-        power *= m2
-    err = k + 1
-    return total - err, total + err
-
-
-def _pi_midpoint(n: int) -> Dyadic:
-    """A dyadic within 2**-n of pi (Machin: 16 atan(1/5) - 4 atan(1/239))."""
-    g = n + 20
-    a5_lo, a5_hi = _atan_inv_bounds(5, g)
-    a239_lo, a239_hi = _atan_inv_bounds(239, g)
-    lo = 16 * a5_lo - 4 * a239_hi
-    hi = 16 * a5_hi - 4 * a239_lo
-    if hi - lo >= 1 << 19:
-        raise EffortExhausted(n, "pi series error budget")
-    return Dyadic(lo + hi, -(g + 1))
+    g = p + 2
+    n = (g + 30) // 41 + 1
+    _, q, t = _pqt(0, n)
+    e = (q >> (41 * n - 25)) + 1
+    r = isqrt(10005 << 2 * g)
+    lo = 426880 * r * q // (t + e)
+    hi = -(-426880 * (r + 1) * q // (t - e))
+    return Interval(Dyadic(lo, -g), Dyadic(hi, -g))
 
 
 def real_pi() -> CReal:
-    return limit(lambda n: CReal.from_dyadic(_pi_midpoint(n)))
+    return CReal(_pi_interval)
 
 
 # -- intermediate value theorem by trisection --------------------------

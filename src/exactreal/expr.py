@@ -167,41 +167,6 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-def render(e: Expr) -> str:
-    """Parenthesized rendering; parse(render(e)) == e structurally."""
-    if isinstance(e, Num):
-        v = e.value
-        if v.denominator == 1:
-            return str(v.numerator)
-        # literals always come from decimal source text, so the
-        # denominator factors as 2**k * 5**j
-        d = v.denominator
-        k = j = 0
-        while d % 2 == 0:
-            d //= 2
-            k += 1
-        while d % 5 == 0:
-            d //= 5
-            j += 1
-        if d != 1:
-            raise ValueError(f"{v} has no finite decimal form")
-        digits = max(k, j)
-        scaled = v.numerator * 10 ** digits // v.denominator
-        s = str(scaled).rjust(digits + 1, "0")
-        return f"{s[:-digits]}.{s[-digits:]}"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{render(e.operand)})"
-    if isinstance(e, BinOp):
-        return f"({render(e.left)}{e.op}{render(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(render(a) for a in e.args)})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
 _ARITHMETIC = {
     "+": operator.add,
     "-": operator.sub,

@@ -1,5 +1,6 @@
 """max, pi, trisection root finding, and real/complex square roots."""
 
+import time
 from fractions import Fraction
 from math import isqrt
 from unittest import mock
@@ -64,7 +65,27 @@ class TestMax:
         assert in_interval(real_abs(x).approx(40), Fraction(1, 6))
 
 
+# every accuracy to 600 bits, the last and first accuracy of each term
+# count n of the series (n steps up at p = 41k - 32), and 2**k +- 1
+PI_ACCURACIES = sorted(
+    set(range(601))
+    | {41 * k - 32 + d for k in range(1, 101) for d in (-1, 0)}
+    | {2**k + d for k in range(9, 13) for d in (-1, 1)}
+)
+
+
 class TestPi:
+    @pytest.mark.parametrize("p", PI_ACCURACIES)
+    def test_interval_contains_pi_and_is_narrow(self, p):
+        mpmath.mp.prec = p + 64
+        man, exp = (+mpmath.pi).man_exp
+        # pi lies within an ulp, 2**(2 - prec), of the oracle
+        oracle, slack = Fraction(man) * Fraction(2) ** exp, Fraction(1, 1 << (p + 62))
+        iv = algorithms_module._pi_interval(p)
+        assert iv.lo.to_fraction() <= oracle - slack
+        assert oracle + slack <= iv.hi.to_fraction()
+        assert iv.width() <= Dyadic(1, -p)
+
     def test_ten_digits(self):
         assert to_decimal(real_pi(), 10) in ("3.1415926535", "3.1415926536")
 
@@ -82,6 +103,15 @@ class TestPi:
         iv = (real_pi() - real_pi()).approx(200)
         assert in_interval(iv, Fraction(0))
         assert iv.width() <= Dyadic(1, -200)
+
+    def test_hidden_zero_divisor_exhausts_the_budget(self):
+        # pi makes no budget check of its own: the error names the budget
+        start = time.perf_counter()
+        with effort_budget(1 << 17), pytest.raises(EffortExhausted) as err:
+            (1 / (real_pi() - real_pi())).approx(10)
+        assert time.perf_counter() - start < 10
+        assert err.value.budget == 131072
+        assert "131072" in str(err.value) and "pi" not in str(err.value)
 
 
 class TestTrisection:
@@ -210,13 +240,13 @@ class TestRealSqrt:
     def test_certified_negative_is_refused_at_once(self, monkeypatch, radicand):
         # under the default budget: no retry asks pi at a higher precision
         asked = [0]
-        pi_midpoint = algorithms_module._pi_midpoint
+        pi_interval = algorithms_module._pi_interval
 
         def counted(n):
             asked.append(n)
-            return pi_midpoint(n)
+            return pi_interval(n)
 
-        monkeypatch.setattr(algorithms_module, "_pi_midpoint", counted)
+        monkeypatch.setattr(algorithms_module, "_pi_interval", counted)
         with pytest.raises(EffortExhausted):
             real_sqrt(radicand()).approx(10)
         assert max(asked) <= 64

@@ -1,4 +1,4 @@
-"""Expression parsing/rendering and the command-line front end."""
+"""Expression parsing and evaluation, and the command-line front end."""
 
 import os
 import subprocess
@@ -8,13 +8,14 @@ from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
+import mpmath
 import pytest
 
 from exactreal.cli import main
 from exactreal.creal import bits_for_digits, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted, ParseError
-from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse, render
+from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse
 from exactreal.interval import Interval
 from exactreal import algorithms, cli
 from exactreal.kleenean import LazyKleenean, current_budget, effort_budget
@@ -56,23 +57,6 @@ class TestParse:
         for src in ("max(1)", "foo(1)", "(1", "1 $ 2", "sqrt 2"):
             with pytest.raises(ParseError):
                 parse(src)
-
-    @pytest.mark.parametrize(
-        "src",
-        [
-            "max(0, pi - pi)",
-            "x*(2-x)-0.5",
-            "sqrt(2)/3 + abs(-x)",
-            "csqrt(0.25, -1.5)",
-            "-(1+x)*0.125",
-            "2*-3",
-            "-(1+2)*3",
-            "--2",
-        ],
-    )
-    def test_render_round_trip(self, src):
-        ast = parse(src)
-        assert parse(render(ast)) == ast
 
 
 class TestEvaluate:
@@ -167,6 +151,22 @@ class TestCli:
         assert code == 2
         assert "4096" in err
 
+    def test_eval_leading_minus_after_double_dash(self, capsys):
+        code, out, _ = self.run(capsys, "eval", "--digits", "5", "--", "-pi")
+        assert code == 0
+        assert out.strip() == "-3.14159"
+
+    def test_eval_pi_at_100000_bits(self, capsys):
+        code, out, _ = self.run(capsys, "eval", "pi", "--bits", "100000")
+        assert code == 0
+        whole, frac = out.strip().split(".")
+        digits = len(frac)
+        assert whole == "3" and digits > 30_000
+        mpmath.mp.prec = 100_064
+        oracle = int(mpmath.floor(mpmath.pi * mpmath.mpf(10) ** digits))
+        # printed within 10**-digits of pi; the oracle is its floor
+        assert abs(int(Decimal(whole + frac)) - oracle) <= 2
+
     def test_eval_division_by_hidden_zero_exits_2(self, capsys):
         # the divisor's interval at 16k bits must not be formatted
         code, _, err = self.run(capsys, "eval", "1/(pi-pi)", "--budget", "16384")
@@ -185,13 +185,13 @@ class TestCli:
         # a branch point hidden behind three nested roots: each root asks
         # its radicand at about twice the bits, so 2**3, times 2 of slack
         asked = []
-        pi_midpoint = algorithms._pi_midpoint
+        pi_interval = algorithms._pi_interval
 
         def counted(n):
             asked.append(n)
-            return pi_midpoint(n)
+            return pi_interval(n)
 
-        monkeypatch.setattr(algorithms, "_pi_midpoint", counted)
+        monkeypatch.setattr(algorithms, "_pi_interval", counted)
         z = "(6+(pi-pi))-(6+(pi-pi))"
         src = f"csqrt(sqrt(sqrt({z}) - sqrt({z})), pi - pi)"
         code, out, _ = self.run(capsys, "eval", src, "--digits", "40")
