@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from .algorithms import Complex, ivt_trisect, real_max, real_pi, real_sqrt
-from .creal import CReal, to_decimal
+from .creal import CReal, bits_for_digits, to_decimal
 from .dyadic import Dyadic
 from .errors import EffortExhausted, ParseError
 from .expr import evaluate, parse
@@ -22,15 +22,25 @@ def _digits_for_bits(bits: int) -> int:
 
 
 def _digits(args) -> int:
-    """The decimal digits to print: --digits, else those --bits carry."""
+    """The decimal digits to print: --digits, else those --bits carry.
+
+    Output that needs more bits than the larger of --budget and the
+    default budget is refused before anything is evaluated: exact
+    values answer at every accuracy without a budget check, so the
+    decimal conversion itself would be the runaway."""
     if args.digits is not None:
         if args.digits < 1:
             raise SystemExit("--digits must be >= 1")
-        return args.digits
-    bits = args.bits if args.bits is not None else 200
-    if bits < 1:
-        raise SystemExit("--bits must be >= 1")
-    return _digits_for_bits(bits)
+        digits = args.digits
+    else:
+        bits = args.bits if args.bits is not None else 200
+        if bits < 1:
+            raise SystemExit("--bits must be >= 1")
+        digits = _digits_for_bits(bits)
+    limit = max(args.budget, DEFAULT_BUDGET)
+    if bits_for_digits(digits) > limit:
+        raise EffortExhausted(limit, f"printing {digits} digits")
+    return digits
 
 
 def _print_value(value, digits: int):

@@ -286,16 +286,17 @@ def to_decimal(x: CReal, digits: int) -> str:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     mid = x.approx(bits_for_digits(digits)).midpoint()
-    unit = 10 ** digits
-    scaled = mid.mantissa * unit
-    if mid.exponent >= 0:
-        n = scaled << mid.exponent
+    # n = mid * 10**digits = m * 5**digits * 2**(e + digits), rounded
+    # half up to an integer by one shift
+    scaled = mid.mantissa * 5**digits
+    shift = mid.exponent + digits
+    if shift >= 0:
+        n = scaled << shift
     else:
-        den = 1 << -mid.exponent
-        n = (2 * scaled + den) // (2 * den)  # round to nearest
+        n = (scaled + (1 << (-shift - 1))) >> -shift
     sign = "-" if n < 0 else ""
-    whole, frac = divmod(abs(n), unit)
-    return f"{sign}{decimal_string(whole)}.{decimal_string(frac).rjust(digits, '0')}"
+    text = decimal_string(abs(n)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 ZERO_REAL = CReal.from_dyadic(ZERO)

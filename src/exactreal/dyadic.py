@@ -48,11 +48,12 @@ def decimal_string(n: int) -> str:
 
 
 def _normalize(mantissa: int, exponent: int) -> tuple[int, int]:
-    if mantissa == 0:
-        return 0, 0
-    shift = (mantissa & -mantissa).bit_length() - 1
-    mantissa >>= shift
-    exponent += shift
+    if not mantissa & 1:
+        if mantissa == 0:
+            return 0, 0
+        shift = (mantissa & -mantissa).bit_length() - 1
+        mantissa >>= shift
+        exponent += shift
     if not -_EXP_LIMIT < exponent < _EXP_LIMIT:
         raise ExponentOverflow(f"dyadic exponent {exponent} out of range")
     return mantissa, exponent

@@ -69,13 +69,23 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        products = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return Interval(min(products), max(products))
+        """Exact product.  Operands of one sign each are multiplied as
+        their magnitudes by ``_mul_magnitudes``; the sign of the result
+        picks which magnitude end is which.  An operand that straddles
+        zero takes the hull of the four corner products."""
+        x, y = _magnitudes(self), _magnitudes(other)
+        if x is None or y is None:
+            products = [
+                self.lo * other.lo,
+                self.lo * other.hi,
+                self.hi * other.lo,
+                self.hi * other.hi,
+            ]
+            return Interval(min(products), max(products))
+        lo_m, lo_e, hi_m, hi_e = _mul_magnitudes(x, y)
+        if x[0] == y[0]:
+            return Interval(Dyadic(lo_m, lo_e), Dyadic(hi_m, hi_e))
+        return Interval(Dyadic(-hi_m, hi_e), Dyadic(-lo_m, lo_e))
 
     def scale2(self, k: int) -> "Interval":
         return Interval(self.lo.scale2(k), self.hi.scale2(k))
@@ -169,3 +179,50 @@ class Interval:
 def _floor_scaled(m: int, s: int) -> int:
     """floor(m * 2**s)."""
     return m << s if s >= 0 else m >> -s
+
+
+def _magnitudes(x: Interval):
+    """``(sign, lo_m, lo_e, hi_m, hi_e)``: the sign of the points of
+    ``x`` and the interval of their absolute values, as mantissa and
+    exponent pairs; None when ``x`` holds points of both signs."""
+    lo, hi = x.lo, x.hi
+    if lo.mantissa >= 0:
+        return 1, lo.mantissa, lo.exponent, hi.mantissa, hi.exponent
+    if hi.mantissa <= 0:
+        return -1, -hi.mantissa, hi.exponent, -lo.mantissa, lo.exponent
+    return None
+
+
+def _mul_magnitudes(x, y):
+    """``[a, b] * [c, d]`` for the magnitudes ``x`` of [a, b] and ``y``
+    of [c, d] given by ``_magnitudes``, as ``(lo_m, lo_e, hi_m, hi_e)``.
+
+    When both operands are narrow, each is aligned to ``[a, a + w] * 2**e``
+    and ``(a + w_a)(c + w_c) = a*c + a*w_c + w_a*(c + w_c)``: one full
+    product, and products with the small widths for the upper end.
+    Otherwise the plain pair ``a*c``, ``b*d``.
+    """
+    _, am, ae, bm, be = x
+    _, cm, ce, dm, de = y
+    xa = _aligned(am, ae, bm, be)
+    ya = _aligned(cm, ce, dm, de) if xa else None
+    if ya is None:
+        return am * cm, ae + ce, bm * dm, be + de
+    a, wa, ea = xa
+    c, wc, ec = ya
+    ac = a * c
+    return ac, ea + ec, ac + a * wc + wa * (c + wc), ea + ec
+
+
+def _aligned(lm, le, hm, he):
+    """``(a, w, e)`` with ``[lo, hi] = [a, a + w] * 2**e`` when the
+    interval is narrow, 0 < lo and hi <= 2*lo; otherwise None.  Narrow
+    ends are within a factor of two, so aligning them lengthens neither
+    mantissa by more than a bit; a wider interval could need a shift by
+    the whole distance between its exponents."""
+    if lm <= 0 or hm.bit_length() + he > lm.bit_length() + le + 1:
+        return None
+    e = min(le, he)
+    a = lm << (le - e)
+    w = (hm << (he - e)) - a
+    return (a, w, e) if w <= a else None

@@ -18,7 +18,7 @@ from exactreal.errors import EffortExhausted, ParseError
 from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse
 from exactreal.interval import Interval
 from exactreal import algorithms, cli
-from exactreal.kleenean import LazyKleenean, current_budget, effort_budget
+from exactreal.kleenean import DEFAULT_BUDGET, LazyKleenean, current_budget, effort_budget
 
 
 class TestParse:
@@ -235,6 +235,9 @@ class TestCli:
             ("eval", "pi"),
             ("eval", "0.1"),
             ("eval", "max(1,2)"),
+            # exact values answer at every accuracy without a budget check
+            ("eval", "2"),
+            ("eval", "0.5"),
         ],
     )
     def test_bits_above_budget_exit_2(self, capsys, argv):
@@ -244,6 +247,20 @@ class TestCli:
         assert time.perf_counter() - start < 5
         assert code == 2
         assert err.startswith("effort exhausted") and len(err.splitlines()) == 1
+
+    def test_output_limit_is_the_larger_budget(self, capsys):
+        # the largest output the default budget allows, and one digit more
+        digits = 3 * DEFAULT_BUDGET // 10
+        while bits_for_digits(digits + 1) <= DEFAULT_BUDGET:
+            digits += 1
+        code, out, _ = self.run(capsys, "eval", "2", "--digits", str(digits), "--budget", "16")
+        assert code == 0 and len(out.strip()) == digits + 2
+        code, _, err = self.run(capsys, "eval", "2", "--digits", str(digits + 1))
+        assert code == 2 and err.startswith("effort exhausted")
+        limit = bits_for_digits(digits + 1)
+        argv = ("eval", "0.25", "--digits", str(digits + 1), "--budget", str(limit))
+        code, out, _ = self.run(capsys, *argv)
+        assert code == 0 and out.startswith("0.25000")
 
     @pytest.mark.parametrize("digits", [5_000, 20_000])
     def test_eval_sqrt2_past_int_str_limit(self, capsys, digits):

@@ -1,7 +1,9 @@
 """Exact reals: accuracy contract, comparison, limits, rounding."""
 
+import random
+from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +301,59 @@ class TestDecimalOutput:
     def test_contract(self, fr, digits):
         printed = Fraction(to_decimal(CReal.from_fraction(fr), digits))
         assert abs(printed - fr) <= Fraction(1, 10**digits)
+
+
+def printed_integer(text: str, digits: int) -> int:
+    """The integer ``text * 10**digits`` for a decimal with exactly
+    ``digits`` places and no leading zero, read without ``int(str)``'s
+    digit limit."""
+    negative = text.startswith("-")
+    whole, frac = text.removeprefix("-").split(".")
+    assert len(frac) == digits and whole.isdigit() and frac.isdigit()
+    assert whole == "0" or not whole.startswith("0")
+    n = int(Decimal(whole + frac))
+    assert n or not negative  # no "-0.000"
+    return -n if negative else n
+
+
+def rounded_midpoint(iv: Interval, digits: int) -> int:
+    """Round half up of midpoint * 10**digits, in exact rationals."""
+    mid = (iv.lo.to_fraction() + iv.hi.to_fraction()) / 2
+    return floor(mid * 10**digits + Fraction(1, 2))
+
+
+def decimal_cases(digits: int):
+    rng = random.Random(digits)
+    bits = 3322 * digits // 1000 + 3
+    # midpoints with exponent >= 0
+    yield Interval.point(Dyadic(5))
+    yield Interval.point(Dyadic(-3, 7))
+    yield Interval(Dyadic(-1, 1), Dyadic(3, 1))
+    for sign in (1, -1):
+        # midpoints exactly half a unit of the last place off a decimal
+        half = Dyadic(sign * (2 * rng.getrandbits(20) + 1) * 5 ** (digits + 1), -(digits + 1))
+        yield Interval.point(half)
+        for _ in range(4):
+            lo = Dyadic(sign * rng.getrandbits(bits + 40), -(bits + rng.randrange(-8, 60)))
+            yield Interval(lo, lo + Dyadic(rng.randrange(4), lo.exponent))
+
+
+@pytest.mark.parametrize("digits", [1, 2, 999, 1000, 1001, 5000])
+def test_to_decimal_is_rounded_midpoint(digits):
+    for iv in decimal_cases(digits):
+        text = to_decimal(CReal(lambda p, iv=iv: iv), digits)
+        assert printed_integer(text, digits) == rounded_midpoint(iv, digits), iv
+
+
+@given(
+    st.builds(Dyadic, st.integers(-(1 << 80), 1 << 80), st.integers(-90, 20)),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=30),
+)
+def test_to_decimal_is_rounded_midpoint_hypothesis(lo, ulps, digits):
+    iv = Interval(lo, lo + Dyadic(ulps, lo.exponent))
+    text = to_decimal(CReal(lambda p: iv), digits)
+    assert printed_integer(text, digits) == rounded_midpoint(iv, digits)
 
 
 class TestEvaluationOrder:

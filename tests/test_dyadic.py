@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from exactreal import dyadic as dyadic_module
 from exactreal.dyadic import ZERO, Dyadic, decimal_string, div_directed
 from exactreal.errors import ExponentOverflow
 
@@ -37,6 +38,15 @@ class TestNormalization:
     def test_exponent_overflow(self):
         with pytest.raises(ExponentOverflow):
             Dyadic(1, 1 << 63)
+
+    @pytest.mark.parametrize("mantissa,shift", [(1, 0), (-3, 0), (2, 1), (-8, 3)])
+    def test_exponent_limit_for_odd_and_even_mantissas(self, mantissa, shift):
+        # an odd mantissa skips the shift but not the range check
+        limit = dyadic_module._EXP_LIMIT
+        for exponent in (limit - shift, -limit - shift):
+            with pytest.raises(ExponentOverflow):
+                Dyadic(mantissa, exponent)
+        assert Dyadic(mantissa, limit - 1 - shift).exponent == limit - 1
 
 
 class TestArithmetic:

@@ -1,5 +1,6 @@
 """Interval arithmetic: containment soundness and outward rounding."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,56 @@ def test_add_sub_examples():
     assert iv(1, 2) + iv(3, 4) == iv(4, 6)
     assert iv(0, 1) - iv(0, 1) == iv(-1, 1)
     assert iv(-1, 2) + iv(-3, "0.5") == iv(-4, "2.5")
+
+
+def corner_hull(x, y):
+    """The product as the min and max of the four exact corner products."""
+    products = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
+    return Interval(min(products), max(products))
+
+
+@st.composite
+def narrow_intervals(draw):
+    """Intervals whose width is far below their magnitude, at mantissa
+    lengths the real layer produces."""
+    bits = draw(st.integers(min_value=1, max_value=400))
+    lo = Dyadic(draw(st.integers(min_value=-(1 << bits), max_value=1 << bits)), -bits)
+    ulps = draw(st.integers(min_value=0, max_value=1 << 8))
+    hi = lo + Dyadic(ulps, -bits - draw(st.integers(min_value=0, max_value=64)))
+    return Interval(lo, hi)
+
+
+signed_intervals = st.one_of(intervals(), narrow_intervals())
+
+
+@given(signed_intervals, signed_intervals)
+@example(iv(0, 0), iv(0, 0))
+@example(iv(-1, 0), iv(-1, 0))
+@example(iv(0, 1), iv(-1, 0))
+@example(iv(-3, -2), iv("0.5", 7))
+@example(iv(-2, 3), iv(-5, "0.25"))
+@example(iv("0.001953125", 1024), iv("1.5", "1.75"))
+@example(iv("-1.75", "-1.5"), iv(-1024, "-0.001953125"))
+def test_mul_equals_corner_hull(x, y):
+    assert x * y == corner_hull(x, y)
+    assert y * x == corner_hull(x, y)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        Interval(Dyadic(1, -100_000), Dyadic(1, 100_000)),
+        Interval(Dyadic((1 << 10_000) + 1, -10_000), Dyadic((1 << 10_000) + 3, -10_000)),
+    ],
+    ids=["squared", "times-narrow-10k"],
+)
+def test_mul_of_a_wide_interval_is_cheap(y):
+    # ends 2**200000 apart: aligning them would build 200,000-bit integers
+    x = Interval(Dyadic(1, -100_000), Dyadic(1, 100_000))
+    start = time.perf_counter()
+    product = x * y
+    assert time.perf_counter() - start < 0.25
+    assert product == corner_hull(x, y)
 
 
 def test_mul_examples():
