@@ -114,12 +114,6 @@ def real_pi() -> CReal:
 # -- intermediate value theorem by trisection --------------------------
 
 
-def _to_fraction(v) -> Fraction:
-    if isinstance(v, Dyadic):
-        return v.to_fraction()
-    return Fraction(v)
-
-
 def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
     """The unique zero of ``f`` on [a, b], given f(a) < 0 < f(b) or
     f(a) > 0 > f(b); the first step certifies which, and trisects -f in
@@ -130,8 +124,7 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
     the uncomputable comparison of g against 0 is never needed; the
     bracket shrinks by 2/3 per step.  Endpoints are exact rationals.
     """
-    a = _to_fraction(a)
-    b = _to_fraction(b)
+    a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("invalid bracket: need a < b")
 

@@ -144,7 +144,8 @@ def _cmd_bench(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A usage error exits 1 with one line, as every invalid argument
-    does; exit 2 means only an exhausted effort budget.  Subparsers
+    does; exit 2 means only an exhausted effort budget, or a budget so
+    large that the precision it allows is out of range.  Subparsers
     inherit the class."""
 
     def error(self, message):
@@ -195,6 +196,11 @@ def main(argv=None) -> int:
         return 1
     except EffortExhausted as exc:
         print(f"effort exhausted: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:
+        # a budget past the dyadic exponent range (ExponentOverflow), the
+        # size of an int or the memory
+        print(f"precision out of range: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

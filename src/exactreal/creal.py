@@ -294,9 +294,7 @@ def to_decimal(x: CReal, digits: int) -> str:
         n = scaled << shift
     else:
         n = (scaled + (1 << (-shift - 1))) >> -shift
-    sign = "-" if n < 0 else ""
-    text = decimal_string(abs(n)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    return decimal_string(n, digits)
 
 
 ZERO_REAL = CReal.from_dyadic(ZERO)

@@ -21,11 +21,15 @@ _EXP_LIMIT = 1 << 62
 _DECIMAL_CHUNK = 1000
 
 
-def decimal_string(n: int) -> str:
-    """``str(n)`` for an int of any size: split by powers of ten into
+def decimal_string(n: int, point: int = 0) -> str:
+    """``n * 10**-point`` in decimal, with ``point`` digits after the
+    point, for an int ``n`` of any size: split by powers of ten into
     chunks that ``str`` may convert."""
     if n < 0:
-        return "-" + decimal_string(-n)
+        return "-" + decimal_string(-n, point)
+    if point:
+        text = decimal_string(n).rjust(point + 1, "0")
+        return f"{text[:-point]}.{text[-point:]}"
     digits = n.bit_length() * 30103 // 100000 + 1  # at least len(str(n))
     if digits <= _DECIMAL_CHUNK:
         return str(n)
@@ -100,12 +104,8 @@ class Dyadic:
         """Exact decimal rendering (finite because 2 divides 10)."""
         if self.exponent >= 0:
             return decimal_string(self.mantissa << self.exponent)
-        shift = -self.exponent
         # m / 2**k == m * 5**k / 10**k
-        scaled = self.mantissa * 5 ** shift
-        sign = "-" if scaled < 0 else ""
-        digits = decimal_string(abs(scaled)).rjust(shift + 1, "0")
-        return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+        return decimal_string(self.mantissa * 5**-self.exponent, -self.exponent)
 
     def __repr__(self):
         return f"Dyadic({self.mantissa}, {self.exponent})"

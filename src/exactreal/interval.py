@@ -69,12 +69,15 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        """Exact product.  Operands of one sign each are multiplied as
-        their magnitudes by ``_mul_magnitudes``; the sign of the result
-        picks which magnitude end is which.  An operand that straddles
-        zero takes the hull of the four corner products."""
-        x, y = _magnitudes(self), _magnitudes(other)
-        if x is None or y is None:
+        """Exact product.  When both operands are narrow (``_narrow``),
+        their absolute values ``[a, a + w]`` and ``[c, c + v]`` multiply
+        with one full product: ``a*c`` is the lower end, and
+        ``(a + w)(c + v) = a*c + a*v + w*(c + v)`` adds products with the
+        small widths for the upper.  The signs pick which end is which.
+        Any other pair takes the hull of the four corner products."""
+        x = _narrow(self)
+        y = _narrow(other) if x else None
+        if y is None:
             products = [
                 self.lo * other.lo,
                 self.lo * other.hi,
@@ -82,10 +85,13 @@ class Interval:
                 self.hi * other.hi,
             ]
             return Interval(min(products), max(products))
-        lo_m, lo_e, hi_m, hi_e = _mul_magnitudes(x, y)
-        if x[0] == y[0]:
-            return Interval(Dyadic(lo_m, lo_e), Dyadic(hi_m, hi_e))
-        return Interval(Dyadic(-hi_m, hi_e), Dyadic(-lo_m, lo_e))
+        sx, a, w, ex = x
+        sy, c, v, ey = y
+        lo = a * c
+        hi = lo + a * v + w * (c + v)
+        if sx != sy:
+            lo, hi = -hi, -lo
+        return Interval(Dyadic(lo, ex + ey), Dyadic(hi, ex + ey))
 
     def scale2(self, k: int) -> "Interval":
         return Interval(self.lo.scale2(k), self.hi.scale2(k))
@@ -181,48 +187,23 @@ def _floor_scaled(m: int, s: int) -> int:
     return m << s if s >= 0 else m >> -s
 
 
-def _magnitudes(x: Interval):
-    """``(sign, lo_m, lo_e, hi_m, hi_e)``: the sign of the points of
-    ``x`` and the interval of their absolute values, as mantissa and
-    exponent pairs; None when ``x`` holds points of both signs."""
-    lo, hi = x.lo, x.hi
-    if lo.mantissa >= 0:
-        return 1, lo.mantissa, lo.exponent, hi.mantissa, hi.exponent
-    if hi.mantissa <= 0:
-        return -1, -hi.mantissa, hi.exponent, -lo.mantissa, lo.exponent
-    return None
-
-
-def _mul_magnitudes(x, y):
-    """``[a, b] * [c, d]`` for the magnitudes ``x`` of [a, b] and ``y``
-    of [c, d] given by ``_magnitudes``, as ``(lo_m, lo_e, hi_m, hi_e)``.
-
-    When both operands are narrow, each is aligned to ``[a, a + w] * 2**e``
-    and ``(a + w_a)(c + w_c) = a*c + a*w_c + w_a*(c + w_c)``: one full
-    product, and products with the small widths for the upper end.
-    Otherwise the plain pair ``a*c``, ``b*d``.
-    """
-    _, am, ae, bm, be = x
-    _, cm, ce, dm, de = y
-    xa = _aligned(am, ae, bm, be)
-    ya = _aligned(cm, ce, dm, de) if xa else None
-    if ya is None:
-        return am * cm, ae + ce, bm * dm, be + de
-    a, wa, ea = xa
-    c, wc, ec = ya
-    ac = a * c
-    return ac, ea + ec, ac + a * wc + wa * (c + wc), ea + ec
-
-
-def _aligned(lm, le, hm, he):
-    """``(a, w, e)`` with ``[lo, hi] = [a, a + w] * 2**e`` when the
-    interval is narrow, 0 < lo and hi <= 2*lo; otherwise None.  Narrow
-    ends are within a factor of two, so aligning them lengthens neither
+def _narrow(x: Interval):
+    """``(sign, a, w, e)`` when the points of ``x`` have one sign and
+    their absolute values ``[l, h]`` are narrow, 0 < l and h <= 2*l;
+    they are then ``[a, a + w] * 2**e``.  Otherwise None.  Narrow ends
+    are within a factor of two, so aligning them lengthens neither
     mantissa by more than a bit; a wider interval could need a shift by
     the whole distance between its exponents."""
-    if lm <= 0 or hm.bit_length() + he > lm.bit_length() + le + 1:
+    lo, hi = x.lo, x.hi
+    if lo.mantissa > 0:
+        sign, lm, le, hm, he = 1, lo.mantissa, lo.exponent, hi.mantissa, hi.exponent
+    elif hi.mantissa < 0:
+        sign, lm, le, hm, he = -1, -hi.mantissa, hi.exponent, -lo.mantissa, lo.exponent
+    else:
+        return None
+    if hm.bit_length() + he > lm.bit_length() + le + 1:
         return None
     e = min(le, he)
     a = lm << (le - e)
     w = (hm << (he - e)) - a
-    return (a, w, e) if w <= a else None
+    return (sign, a, w, e) if w <= a else None

@@ -115,8 +115,8 @@ class LazyKleenean:
 
 
 def _effort_schedule(budget: int, start: int):
-    """Deterministic effort levels start, start+1, start+2, start+4, ...
-    capped at the budget.
+    """Deterministic effort levels start, start+1, start+3, start+7, ...
+    (start + 2**i - 1), capped at the budget.
 
     Geometric advance keeps the total work of the underlying
     evaluations within a constant factor of the final level; a start

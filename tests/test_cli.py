@@ -248,6 +248,22 @@ class TestCli:
         assert code == 2
         assert err.startswith("effort exhausted") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (("eval", "1/3"), 10**19),  # a dyadic exponent out of range
+            (("ivt", "x-0.5", "0", "1"), 10**19),  # 2**-n out of memory
+            (("ivt", "x-0.5", "0", "1"), 10**22),  # 2**-n past the int size
+        ],
+    )
+    def test_budget_past_the_machine_exit_2(self, capsys, argv, digits):
+        start = time.perf_counter()
+        budget = str(10 * digits)
+        code, _, err = self.run(capsys, *argv, "--digits", str(digits), "--budget", budget)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("precision out of range") and len(err.splitlines()) == 1
+
     def test_output_limit_is_the_larger_budget(self, capsys):
         # the largest output the default budget allows, and one digit more
         digits = 3 * DEFAULT_BUDGET // 10

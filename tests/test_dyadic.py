@@ -191,6 +191,7 @@ class TestDecimalString:
             assert text[0] != "0"
             assert int(Decimal(text)) == n
             assert decimal_string(-n) == "-" + text
+            assert decimal_string(-n, len(text) + 2) == "-0.00" + text
 
     def test_exact_decimal_of_a_long_dyadic(self):
         m = (1 << 20_000) - 1
@@ -198,3 +199,5 @@ class TestDecimalString:
         whole, frac = text.split(".")
         assert whole == "0" and len(frac) == 20_000
         assert int(Decimal(frac)) == m * 5**20_000
+        assert Dyadic(-m, -20_000).to_decimal_string() == "-" + text
+        assert decimal_string(-5, 3) == "-0.005"

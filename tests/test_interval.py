@@ -78,9 +78,31 @@ signed_intervals = st.one_of(intervals(), narrow_intervals())
 @example(iv(-2, 3), iv(-5, "0.25"))
 @example(iv("0.001953125", 1024), iv("1.5", "1.75"))
 @example(iv("-1.75", "-1.5"), iv(-1024, "-0.001953125"))
+@example(iv(0, 1), iv("1.5", "1.75"))
 def test_mul_equals_corner_hull(x, y):
     assert x * y == corner_hull(x, y)
     assert y * x == corner_hull(x, y)
+
+
+@pytest.mark.parametrize("sx", [1, -1])
+@pytest.mark.parametrize("sy", [1, -1])
+def test_mul_of_narrow_operands_makes_no_dyadic_product(sx, sy, monkeypatch):
+    # narrow operands of one sign each multiply on aligned integers
+    x = iv("1.5", "1.75") if sx > 0 else iv("-1.75", "-1.5")
+    y = iv(3, 5) if sy > 0 else iv(-5, -3)
+    expected = corner_hull(x, y)
+    dyadic_mul = Dyadic.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return dyadic_mul(a, b)
+
+    monkeypatch.setattr(Dyadic, "__mul__", counted)
+    assert x * y == expected
+    assert calls == []
+    iv(0, 1) * y  # the corner path, seen by the counter
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize(

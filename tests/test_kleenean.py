@@ -12,6 +12,7 @@ from exactreal.kleenean import (
     Kleenean,
     DEFAULT_BUDGET,
     LazyKleenean,
+    _effort_schedule,
     current_budget,
     effort_budget,
     select,
@@ -168,6 +169,10 @@ class TestSelect:
         # right answers immediately; a left that only answers later
         # must not starve it
         assert select(staged(7, TRUE), LazyKleenean.const(TRUE)) is Branch.RIGHT
+
+    def test_effort_schedule_doubles_its_step(self):
+        assert list(_effort_schedule(100, 0)) == [0, 1, 3, 7, 15, 31, 63, 100]
+        assert list(_effort_schedule(10, 5)) == [5, 6, 8, 10]
 
     def test_select_index_many(self):
         idx = select_index(
