@@ -17,7 +17,6 @@ from .creal import (
     ZERO_REAL,
     _binary,
     _doubling,
-    _mag_exp,
     less_than,
     limit,
     limit_refine,
@@ -193,7 +192,7 @@ def sqrt_scale(x) -> tuple[int, CReal]:
         iv = x.approx(q)
         if iv.lo.sign > 0:
             # 4**z pushes hi into (1/2, 2]
-            z = (1 - _mag_exp(iv.hi)) >> 1
+            z = (1 - iv.hi.mantissa.bit_length() - iv.hi.exponent) >> 1
             for cand in (z, z + 1, z - 1):
                 s = iv.scale2(2 * cand)
                 if s.lo >= _SCALE_LO and s.hi <= _SCALE_HI:

@@ -15,8 +15,13 @@ from functools import partial
 from math import inf
 from typing import Callable
 
-from .dyadic import Dyadic, ZERO, decimal_string
-from .errors import DivisorStraddlesZero, EffortExhausted, OutsideDomain
+from .dyadic import _EXP_LIMIT, Dyadic, ZERO, decimal_string
+from .errors import (
+    DivisorStraddlesZero,
+    EffortExhausted,
+    ExponentOverflow,
+    OutsideDomain,
+)
 from .interval import Interval
 from .kleenean import (
     BOTTOM,
@@ -40,21 +45,6 @@ def _operator(combine, what: str):
         return _binary(x, y, combine, what)
 
     return method, lambda x, y: method(y, x)
-
-
-def _div_intervals(a: Interval, b: Interval, q: int) -> Interval:
-    # enough significant bits that relative rounding error stays below 2**-(q+2)
-    num_mag = max(_mag_exp(a.lo), _mag_exp(a.hi))
-    den_mag = min(_mag_exp(b.lo), _mag_exp(b.hi)) - 1
-    bits = max(8, q + 4 + num_mag - den_mag)
-    return a.div(b, bits)
-
-
-def _mag_exp(d: Dyadic) -> int:
-    """Smallest e with |d| <= 2**e (0 for zero)."""
-    if d.mantissa == 0:
-        return 0
-    return abs(d.mantissa).bit_length() + d.exponent
 
 
 class CReal:
@@ -128,7 +118,7 @@ class CReal:
     __add__, __radd__ = _operator(lambda a, b, q: a + b, "addition")
     __sub__, __rsub__ = _operator(lambda a, b, q: a - b, "subtraction")
     __mul__, __rmul__ = _operator(lambda a, b, q: a * b, "multiplication")
-    __truediv__, __rtruediv__ = _operator(_div_intervals, "division")
+    __truediv__, __rtruediv__ = _operator(lambda a, b, q: a.div(b, q + 2), "division")
 
     def __neg__(self):
         return CReal(lambda p: -self.approx(p))
@@ -285,7 +275,12 @@ def to_decimal(x: CReal, digits: int) -> str:
     """Decimal rendering with |x - printed| <= 10**-digits."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    mid = x.approx(bits_for_digits(digits)).midpoint()
+    bits = bits_for_digits(digits)
+    # exact values answer at any accuracy, so this is the one bound on
+    # the 5**digits below
+    if bits >= _EXP_LIMIT:
+        raise ExponentOverflow(f"{digits} digits need {bits} bits, past the exponent range")
+    mid = x.approx(bits).midpoint()
     # n = mid * 10**digits = m * 5**digits * 2**(e + digits), rounded
     # half up to an integer by one shift
     scaled = mid.mantissa * 5**digits

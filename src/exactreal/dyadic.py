@@ -264,26 +264,17 @@ class Dyadic:
 ZERO = Dyadic(0)
 
 
-def div_directed(a: Dyadic, b: Dyadic, bits: int, up: bool) -> Dyadic:
-    """Directed rounding of ``a / b`` to at most ``bits`` significant bits.
-
-    ``up`` rounds toward +infinity, otherwise toward -infinity.  The
-    divisor must be nonzero.
-    """
+def div_directed(a: Dyadic, b: Dyadic, k: int, up: bool) -> Dyadic:
+    """``a / b`` rounded onto the grid of multiples of ``2**-k``:
+    ``ceil(a/b * 2**k) * 2**-k`` when ``up``, else the floor.  The
+    divisor must be nonzero."""
     if b.mantissa == 0:
         raise ZeroDivisionError("dyadic division by zero")
-    if a.mantissa == 0:
-        return ZERO
     n, d = a.mantissa, b.mantissa
-    # pre-shift so the integer quotient carries > bits significant bits
-    shift = bits - (abs(n).bit_length() - abs(d).bit_length()) + 2
+    shift = a.exponent - b.exponent + k
     if shift >= 0:
         n <<= shift
     else:
         d <<= -shift
-    if up:
-        q = -((-n) // d)
-    else:
-        q = n // d
-    res = Dyadic(q, a.exponent - b.exponent - shift)
-    return res.round_up(bits) if up else res.round_down(bits)
+    # floor division rounds toward -infinity for every sign
+    return Dyadic(-((-n) // d) if up else n // d, -k)

@@ -133,7 +133,11 @@ class _Parser:
         if kind == "op" and text == "-":
             return Neg(self.atom())
         if kind == "num":
-            return Num(Fraction(text))
+            try:
+                return Num(Fraction(text))
+            except ValueError:
+                # past the interpreter's 4,300-digit limit on str-to-int
+                raise ParseError("numeric literal has too many digits", pos) from None
         if kind == "ident":
             if text in _CONSTANTS:
                 return Const(text)

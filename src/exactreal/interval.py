@@ -105,14 +105,15 @@ class Interval:
 
     # -- division (rounds outward) ------------------------------------
 
-    def div(self, other: "Interval", bits: int) -> "Interval":
-        """Containment-sound quotient, endpoints rounded outward to
-        ``bits`` significant bits.
+    def div(self, other: "Interval", k: int) -> "Interval":
+        """Containment-sound quotient, endpoints rounded outward onto
+        the grid of multiples of 2**-k.
 
         With zero outside the divisor, x/y is monotone in each argument,
         so each endpoint is one corner quotient picked by the signs: two
-        directed divisions in all.  Directed rounding is monotone, so
-        this equals the rounded hull of all four corners.
+        directed divisions in all.  Grid rounding is monotone, so this
+        equals the rounded hull of all four corners, at most 2**-(k-1)
+        wider than the exact hull.
 
         Raises ``DivisorStraddlesZero`` when the divisor interval
         contains zero; callers at the real layer retry at higher
@@ -124,11 +125,11 @@ class Interval:
         a, b = self.lo, self.hi
         c, d = other.lo, other.hi
         if c.sign > 0:
-            lo = div_directed(a, d if a.sign >= 0 else c, bits, up=False)
-            hi = div_directed(b, c if b.sign >= 0 else d, bits, up=True)
+            lo = div_directed(a, d if a.sign >= 0 else c, k, up=False)
+            hi = div_directed(b, c if b.sign >= 0 else d, k, up=True)
         else:
-            lo = div_directed(b, d if b.sign >= 0 else c, bits, up=False)
-            hi = div_directed(a, c if a.sign >= 0 else d, bits, up=True)
+            lo = div_directed(b, d if b.sign >= 0 else c, k, up=False)
+            hi = div_directed(a, c if a.sign >= 0 else d, k, up=True)
         return Interval(lo, hi)
 
     # -- square root (rounds outward) ---------------------------------

@@ -251,9 +251,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, digits",
         [
-            (("eval", "1/3"), 10**19),  # a dyadic exponent out of range
-            (("ivt", "x-0.5", "0", "1"), 10**19),  # 2**-n out of memory
-            (("ivt", "x-0.5", "0", "1"), 10**22),  # 2**-n past the int size
+            # digits whose bits are past the dyadic exponent range are
+            # refused before anything is computed, for exact values too
+            (("eval", "1/3"), 10**19),
+            (("ivt", "x-0.5", "0", "1"), 10**19),
+            (("ivt", "x-0.5", "0", "1"), 10**22),
+            (("eval", "2"), 10**19),
         ],
     )
     def test_budget_past_the_machine_exit_2(self, capsys, argv, digits):
@@ -318,6 +321,20 @@ class TestCli:
         code, _, err = self.run(capsys, "eval", "1+")
         assert code == 1
         assert "column 3" in err
+
+    @pytest.mark.parametrize(
+        "literal", ["1" * 5000, "0." + "1" * 5000], ids=["integer", "fraction"]
+    )
+    @pytest.mark.parametrize(
+        "argv, column",
+        [(("eval", "{}"), 1), (("ivt", "x-{}", "0", "1"), 3)],
+        ids=["eval", "ivt"],
+    )
+    def test_literal_past_the_int_str_limit_exits_1(self, capsys, literal, argv, column):
+        argv = [arg.format(literal) for arg in argv]
+        code, _, err = self.run(capsys, *argv)
+        assert code == 1
+        assert err == f"parse error: numeric literal has too many digits (column {column})\n"
 
     def test_unbound_variable_reports_its_column(self, capsys):
         code, _, err = self.run(capsys, "eval", "1+x")

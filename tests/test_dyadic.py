@@ -150,23 +150,28 @@ class TestStringsAndParsing:
 
 
 class TestDirectedDivision:
-    @given(dyadics, dyadics, st.integers(min_value=4, max_value=60))
-    def test_brackets_exact_quotient(self, a, b, bits):
+    grid = st.integers(min_value=-20, max_value=80)
+
+    @given(dyadics, dyadics, grid)
+    def test_brackets_exact_quotient(self, a, b, k):
         if b.mantissa == 0:
             return
         exact = a.to_fraction() / b.to_fraction()
-        down = div_directed(a, b, bits, up=False)
-        up = div_directed(a, b, bits, up=True)
+        down = div_directed(a, b, k, up=False)
+        up = div_directed(a, b, k, up=True)
         assert down.to_fraction() <= exact <= up.to_fraction()
 
-    @given(dyadics, dyadics, st.integers(min_value=4, max_value=60))
-    def test_relative_error(self, a, b, bits):
-        if b.mantissa == 0 or a.mantissa == 0:
+    @given(dyadics, dyadics, grid)
+    def test_floor_and_ceil_on_the_grid(self, a, b, k):
+        """Exactly floor(F * 2**k) * 2**-k, or the ceiling, for the
+        rational quotient F, divisors of either sign included."""
+        if b.mantissa == 0:
             return
-        exact = a.to_fraction() / b.to_fraction()
-        for up in (False, True):
-            got = div_directed(a, b, bits, up).to_fraction()
-            assert abs(got - exact) <= abs(exact) * Fraction(2) ** -(bits - 1)
+        scaled = a.to_fraction() / b.to_fraction() * Fraction(2) ** k
+        floor = scaled.numerator // scaled.denominator
+        ceil = -(-scaled.numerator // scaled.denominator)
+        assert div_directed(a, b, k, up=False) == Dyadic(floor, -k)
+        assert div_directed(a, b, k, up=True) == Dyadic(ceil, -k)
 
     def test_exact_quotient_is_exact(self):
         assert div_directed(Dyadic(1), Dyadic(2), 10, up=False) == Dyadic(1, -1)

@@ -177,14 +177,38 @@ def test_soundness_add_sub_mul(ap, bp):
 
 
 @given(interval_points(), interval_points(), st.integers(min_value=8, max_value=50))
-def test_soundness_div(ap, bp, bits):
+def test_soundness_div(ap, bp, k):
     a, x = ap
     b, y = bp
     if b.straddles_zero():
         return
-    q = a.div(b, bits)
+    q = a.div(b, k)
     exact = x.to_fraction() / y.to_fraction()
     assert q.lo.to_fraction() <= exact <= q.hi.to_fraction()
+
+
+@given(intervals(), intervals(), st.integers(min_value=-20, max_value=80))
+def test_div_is_the_exact_hull_plus_two_grid_steps(a, b, k):
+    """The quotient holds every corner quotient and is at most
+    2**-(k-1) wider than their exact hull: each end rounds outward by
+    less than one step of the 2**-k grid."""
+    if b.straddles_zero():
+        return
+    q = a.div(b, k)
+    corners = [
+        x.to_fraction() / y.to_fraction() for x in (a.lo, a.hi) for y in (b.lo, b.hi)
+    ]
+    lo, hi = q.lo.to_fraction(), q.hi.to_fraction()
+    assert lo <= min(corners) and max(corners) <= hi
+    assert hi - lo <= max(corners) - min(corners) + Fraction(2) ** (1 - k)
+
+
+def test_div_across_a_large_exponent_gap():
+    tiny = Interval.point(Dyadic(1, -100_000))
+    start = time.perf_counter()
+    q = tiny.div(iv(3, 3), 10)
+    assert time.perf_counter() - start < 0.05
+    assert q == Interval(Dyadic(0), Dyadic(1, -10))
 
 
 @given(intervals(), intervals(), small_dyadics, small_dyadics)
@@ -249,8 +273,8 @@ def test_abs():
     assert abs(iv(-2, 3)) == iv(0, 3)
 
 
-@pytest.mark.parametrize("bits", [1, 8, 33, 200])
-def test_div_sign_cases_match_corner_hull(bits, monkeypatch):
+@pytest.mark.parametrize("k", [1, 8, 33, 200])
+def test_div_sign_cases_match_corner_hull(k, monkeypatch):
     """Every numerator sign pattern against both divisor signs: the two
     sign-picked corner quotients equal the rounded hull of all four."""
     values = [Dyadic(-7, -1), Dyadic(-1, -3), Dyadic(0), Dyadic(5, -2), Dyadic(11)]
@@ -258,20 +282,20 @@ def test_div_sign_cases_match_corner_hull(bits, monkeypatch):
     divisors = [iv(3, 3), iv("0.125", 5), iv(2, 7), -iv(3, 3), -iv("0.125", 5)]
     calls = []
 
-    def counted(a, b, bits, up):
+    def counted(a, b, k, up):
         calls.append(up)
-        return div_directed(a, b, bits, up)
+        return div_directed(a, b, k, up)
 
     monkeypatch.setattr(interval_module, "div_directed", counted)
     for num in numerators:
         for den in divisors:
             corners = [(x, y) for x in (num.lo, num.hi) for y in (den.lo, den.hi)]
             hull = Interval(
-                min(div_directed(x, y, bits, up=False) for x, y in corners),
-                max(div_directed(x, y, bits, up=True) for x, y in corners),
+                min(div_directed(x, y, k, up=False) for x, y in corners),
+                max(div_directed(x, y, k, up=True) for x, y in corners),
             )
             calls.clear()
-            assert num.div(den, bits) == hull
+            assert num.div(den, k) == hull
             assert sorted(calls) == [False, True]
 
 
