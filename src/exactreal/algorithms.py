@@ -23,7 +23,7 @@ from .creal import (
     refinement_terms,
 )
 from .dyadic import Dyadic
-from .interval import Interval
+from .interval import Interval, from_ints
 from .kleenean import Branch, _select_with_effort, select, select_index
 
 # -- maximum and absolute value ---------------------------------------
@@ -35,7 +35,7 @@ def real_max(x, y) -> CReal:
     return _binary(
         CReal._coerce(x),
         CReal._coerce(y),
-        lambda a, b, q: Interval(max(a.lo, b.lo), max(a.hi, b.hi)),
+        lambda a, b, q: a.maximum(b),
         "maximum",
     )
 
@@ -103,7 +103,7 @@ def _pi_interval(p: int) -> Interval:
     r = isqrt(10005 << 2 * g)
     lo = 426880 * r * q // (t + e)
     hi = -(-426880 * (r + 1) * q // (t - e))
-    return Interval(Dyadic(lo, -g), Dyadic(hi, -g))
+    return from_ints(lo, hi, -g)
 
 
 def real_pi() -> CReal:

@@ -22,7 +22,7 @@ from .errors import (
     ExponentOverflow,
     OutsideDomain,
 )
-from .interval import Interval
+from .interval import Interval, from_ints
 from .kleenean import (
     BOTTOM,
     FALSE,
@@ -97,7 +97,7 @@ class CReal:
         def fn(p: int) -> Interval:
             k = p + 2
             lo = (num << k) // den
-            return Interval(Dyadic(lo, -k), Dyadic(lo + 1, -k))
+            return from_ints(lo, lo + 1, -k)
 
         return cls(fn)
 
@@ -153,7 +153,6 @@ def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
     divisor that straddles zero is retried at the next q; an operand
     certified outside the domain (a negative radicand) is refused at
     once, since no higher q can bring it back."""
-    target = Dyadic(1, -(p + 1))
     for q in _doubling(p + 4, what):
         try:
             # Right operand first: in a Heron step (h + x/h)/2 the quotient
@@ -161,7 +160,7 @@ def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
             # first leaves the sum's request to h to hit h's cache.
             b = None if y is None else y.approx(q)
             iv = combine(x.approx(q), b, q)
-            if iv.width() <= target:
+            if iv.width_at_most(p + 1):
                 return iv.round_out_grid(p + 2)
         except DivisorStraddlesZero:
             pass
@@ -183,9 +182,9 @@ def less_than(x: CReal, y: CReal) -> LazyKleenean:
     def fn(n: int):
         xi = x.approx(n)
         yi = y.approx(n)
-        if xi.hi < yi.lo:
+        if xi.precedes(yi):
             return TRUE
-        if yi.hi < xi.lo:
+        if yi.precedes(xi):
             return FALSE
         return BOTTOM
 
@@ -280,11 +279,11 @@ def to_decimal(x: CReal, digits: int) -> str:
     # the 5**digits below
     if bits >= _EXP_LIMIT:
         raise ExponentOverflow(f"{digits} digits need {bits} bits, past the exponent range")
-    mid = x.approx(bits).midpoint()
-    # n = mid * 10**digits = m * 5**digits * 2**(e + digits), rounded
-    # half up to an integer by one shift
-    scaled = mid.mantissa * 5**digits
-    shift = mid.exponent + digits
+    iv = x.approx(bits)
+    # n = midpoint * 10**digits = (a + b) * 5**digits * 2**(e - 1 +
+    # digits), rounded half up to an integer by one shift
+    scaled = (iv.a + iv.b) * 5**digits
+    shift = iv.e - 1 + digits
     if shift >= 0:
         n = scaled << shift
     else:

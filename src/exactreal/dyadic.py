@@ -1,12 +1,16 @@
 """Exact binary rationals m * 2**e with canonical (odd-or-zero) mantissas.
 
-These are the endpoint scalars of all interval computation: addition,
-subtraction and multiplication are exact, and directed rounding is the
-only lossy operation.  Values are immutable and hashable.
+These are the exact scalars of the library's leaves and of the views
+of interval ends (``Interval.lo`` and ``hi``); intervals compute on
+plain integers.  Addition, subtraction and multiplication are exact,
+and directed rounding is the only lossy operation.  Values are
+immutable and hash like the equal int or Fraction.  ``scaled_quotient``
+is the one directed integer division, shared with ``Interval.div``.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ExponentOverflow
@@ -14,6 +18,8 @@ from .errors import ExponentOverflow
 # Exponents are kept inside a comfortable machine range; anything beyond
 # this indicates a runaway computation rather than a legitimate value.
 _EXP_LIMIT = 1 << 62
+
+_HASH_P = sys.hash_info.modulus
 
 
 # digits ``str`` converts directly, well below the interpreter's
@@ -192,7 +198,12 @@ class Dyadic:
         return self.mantissa == other.mantissa and self.exponent == other.exponent
 
     def __hash__(self):
-        return hash((self.mantissa, self.exponent))
+        # Python's numeric hash, so that Dyadic(3) and 3 hash alike:
+        # |m| * 2**e modulo the prime P, 2**e by a modular power (an
+        # inverse for e < 0) rather than a shift; hash() itself turns
+        # -1 into -2
+        h = abs(self.mantissa) % _HASH_P * pow(2, self.exponent, _HASH_P) % _HASH_P
+        return -h if self.mantissa < 0 else h
 
     def __lt__(self, other):
         other = self._coerce(other)
@@ -264,17 +275,22 @@ class Dyadic:
 ZERO = Dyadic(0)
 
 
+def scaled_quotient(n: int, d: int, s: int, up: bool) -> int:
+    """``floor(n * 2**s / d)``, or the ceiling when ``up``, for d != 0:
+    one shift and one floor division, which rounds toward -infinity for
+    every sign."""
+    if s >= 0:
+        n <<= s
+    else:
+        d <<= -s
+    return -((-n) // d) if up else n // d
+
+
 def div_directed(a: Dyadic, b: Dyadic, k: int, up: bool) -> Dyadic:
     """``a / b`` rounded onto the grid of multiples of ``2**-k``:
     ``ceil(a/b * 2**k) * 2**-k`` when ``up``, else the floor.  The
     divisor must be nonzero."""
     if b.mantissa == 0:
         raise ZeroDivisionError("dyadic division by zero")
-    n, d = a.mantissa, b.mantissa
     shift = a.exponent - b.exponent + k
-    if shift >= 0:
-        n <<= shift
-    else:
-        d <<= -shift
-    # floor division rounds toward -infinity for every sign
-    return Dyadic(-((-n) // d) if up else n // d, -k)
+    return Dyadic(scaled_quotient(a.mantissa, b.mantissa, shift, up), -k)

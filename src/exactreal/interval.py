@@ -1,29 +1,52 @@
-"""Outward-rounded intervals with dyadic endpoints.
+"""Outward-rounded intervals: two integers on one exponent.
 
 An ``Interval`` is the finite approximation of a real number: every
-operation returns an interval containing all pointwise results.  Sums,
-differences and products keep exact endpoints (dyadics are closed under
-them); only division, square root and grid rounding widen.
+operation returns an interval containing all pointwise results.  It
+holds three plain ints ``(a, b, e)``, the ends lo = a * 2**e and
+hi = b * 2**e, and computes every operation on those integers, so no
+``Dyadic`` object is built on the way: the shape of an ``MPBall``
+approximation in AERN, with two ends instead of a centre and a radius.
+Sums, differences and products are exact; only division, square root
+and grid rounding widen.  ``lo`` and ``hi`` are views: each access
+builds the canonical ``Dyadic`` of that end.
+
+The ends share one exponent, so ends whose exponents are far apart
+align into one large integer: [2**-100000, 2**100000] holds a
+200,000-bit ``b``, and operations on it work on that integer.  A zero
+end forces no shift.  The library's own intervals are leaves and
+results rounded onto the 2**-k grid of a working precision, whose two
+ends share an exponent anyway.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from .dyadic import Dyadic, div_directed
+from .dyadic import Dyadic, scaled_quotient
 from .errors import DivisorStraddlesZero, OutsideDomain
 
 
 class Interval:
-    """A closed interval [lo, hi] with dyadic endpoints, lo <= hi."""
+    """A closed interval [lo, hi] = [a * 2**e, b * 2**e], a <= b."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("a", "b", "e")
 
     def __init__(self, lo: Dyadic, hi: Dyadic):
         if lo > hi:
             raise ValueError(f"invalid interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        a, e, b, f = lo.mantissa, lo.exponent, hi.mantissa, hi.exponent
+        # the smaller exponent of the nonzero ends
+        if not a:
+            e = f
+        elif b and f != e:
+            if f > e:
+                b <<= f - e
+            else:
+                a <<= e - f
+                e = f
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_e(self, e)
 
     def __setattr__(self, name, value):
         raise AttributeError("Interval values are immutable")
@@ -32,10 +55,19 @@ class Interval:
     def point(cls, d: Dyadic) -> "Interval":
         return cls(d, d)
 
+    @property
+    def lo(self) -> Dyadic:
+        return Dyadic(self.a, self.e)
+
+    @property
+    def hi(self) -> Dyadic:
+        return Dyadic(self.b, self.e)
+
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
     def __eq__(self, other):
+        # canonical views compare values without aligning the exponents
         return (
             isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
         )
@@ -43,65 +75,85 @@ class Interval:
     # -- queries ------------------------------------------------------
 
     def width(self) -> Dyadic:
-        return self.hi - self.lo
+        return Dyadic(self.b - self.a, self.e)
+
+    def width_at_most(self, n: int) -> bool:
+        """hi - lo <= 2**-n, that is b - a <= 2**(-n - e)."""
+        w = self.b - self.a
+        return not w or (w - 1).bit_length() <= -n - self.e
 
     def contains(self, d: Dyadic) -> bool:
-        return self.lo <= d <= self.hi
+        return self.contains_interval(Interval.point(d))
 
     def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        a, b, c, d, _ = _align(self, other)
+        return a <= c and d <= b
+
+    def precedes(self, other: "Interval") -> bool:
+        """Every point is below every point of ``other``: hi < other.lo."""
+        _, b, c, _, _ = _align(self, other)
+        return b < c
 
     def midpoint(self) -> Dyadic:
-        return (self.lo + self.hi).scale2(-1)
+        return Dyadic(self.a + self.b, self.e - 1)
 
     def straddles_zero(self) -> bool:
-        return self.lo.sign <= 0 <= self.hi.sign
+        return self.a <= 0 <= self.b
 
     # -- exact arithmetic ---------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        a, b, c, d, e = _align(self, other)
+        return from_ints(a + c, b + d, e)
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
+        a, b, c, d, e = _align(self, other)
+        return from_ints(a - d, b - c, e)
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return from_ints(-self.b, -self.a, self.e)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        """Exact product.  When both operands are narrow (``_narrow``),
-        their absolute values ``[a, a + w]`` and ``[c, c + v]`` multiply
-        with one full product: ``a*c`` is the lower end, and
-        ``(a + w)(c + v) = a*c + a*v + w*(c + v)`` adds products with the
-        small widths for the upper.  The signs pick which end is which.
-        Any other pair takes the hull of the four corner products."""
-        x = _narrow(self)
-        y = _narrow(other) if x else None
+        """Exact product.  Operands of one sign each multiply as
+        magnitudes ``[x0, x1]`` and ``[y0, y1]``: the lower end is
+        ``x0*y0``.  When both are narrow, ``x1 <= 2*x0`` and
+        ``y1 <= 2*y0``, the upper end ``x0*y0 + x0*(y1 - y0) +
+        (x1 - x0)*y1`` adds products with the small widths to that one
+        full product; otherwise it is ``x1*y1``.  The signs pick which
+        end is which.  An operand that straddles zero takes the hull of
+        the four corner products."""
+        a, b, e = self.a, self.b, self.e
+        c, d, f = other.a, other.b, other.e
+        x = _magnitudes(a, b)
+        y = _magnitudes(c, d) if x else None
         if y is None:
-            products = [
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            ]
-            return Interval(min(products), max(products))
-        sx, a, w, ex = x
-        sy, c, v, ey = y
-        lo = a * c
-        hi = lo + a * v + w * (c + v)
+            lo, hi = _corner_hull(a, b, c, d)
+            return from_ints(lo, hi, e + f)
+        sx, x0, x1 = x
+        sy, y0, y1 = y
+        lo = x0 * y0
+        if x1 <= 2 * x0 and y1 <= 2 * y0:
+            hi = lo + x0 * (y1 - y0) + (x1 - x0) * y1
+        else:
+            hi = x1 * y1
         if sx != sy:
             lo, hi = -hi, -lo
-        return Interval(Dyadic(lo, ex + ey), Dyadic(hi, ex + ey))
+        return from_ints(lo, hi, e + f)
 
     def scale2(self, k: int) -> "Interval":
-        return Interval(self.lo.scale2(k), self.hi.scale2(k))
+        return from_ints(self.a, self.b, self.e + k)
 
     def __abs__(self) -> "Interval":
-        if self.lo.sign >= 0:
+        if self.a >= 0:
             return self
-        if self.hi.sign <= 0:
+        if self.b <= 0:
             return -self
-        return Interval(Dyadic(0), max(-self.lo, self.hi))
+        return from_ints(0, max(-self.a, self.b), self.e)
+
+    def maximum(self, other: "Interval") -> "Interval":
+        """The pointwise maximum: monotone and no wider than either."""
+        a, b, c, d, e = _align(self, other)
+        return from_ints(max(a, c), max(b, d), e)
 
     # -- division (rounds outward) ------------------------------------
 
@@ -122,15 +174,15 @@ class Interval:
         if other.straddles_zero():
             # a fixed message: formatting a huge interval costs O(n**2)
             raise DivisorStraddlesZero("divisor interval contains zero")
-        a, b = self.lo, self.hi
-        c, d = other.lo, other.hi
-        if c.sign > 0:
-            lo = div_directed(a, d if a.sign >= 0 else c, k, up=False)
-            hi = div_directed(b, c if b.sign >= 0 else d, k, up=True)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        s = self.e - other.e + k
+        if c > 0:
+            lo = scaled_quotient(a, d if a >= 0 else c, s, up=False)
+            hi = scaled_quotient(b, c if b >= 0 else d, s, up=True)
         else:
-            lo = div_directed(b, d if b.sign >= 0 else c, k, up=False)
-            hi = div_directed(a, c if a.sign >= 0 else d, k, up=True)
-        return Interval(lo, hi)
+            lo = scaled_quotient(b, d if b >= 0 else c, s, up=False)
+            hi = scaled_quotient(a, c if a >= 0 else d, s, up=True)
+        return from_ints(lo, hi, -k)
 
     # -- square root (rounds outward) ---------------------------------
 
@@ -151,18 +203,19 @@ class Interval:
         radicand is then certified negative, and the real layer refuses
         it without a retry.
         """
-        lo, hi = self.lo, self.hi
-        if hi.sign < 0:
+        a, b = self.a, self.b
+        if b < 0:
             raise OutsideDomain("radicand interval is negative")
-        n_lo = _floor_scaled(lo.mantissa, lo.exponent + 2 * k) if lo.sign > 0 else 0
-        n_hi = -_floor_scaled(-hi.mantissa, hi.exponent + 2 * k)
+        s = self.e + 2 * k
+        n_lo = _floor_scaled(a, s) if a > 0 else 0
+        n_hi = -_floor_scaled(-b, s)
         r = isqrt(n_lo)
         if r:
             d = -((n_lo - n_hi) // (2 * r))  # ceil((n_hi - n_lo) / (2r))
             if d * d <= r:
-                return Interval(Dyadic(r, -k), Dyadic(r + 1 + d, -k))
-        s = isqrt(n_hi)
-        return Interval(Dyadic(r, -k), Dyadic(s if s * s == n_hi else s + 1, -k))
+                return from_ints(r, r + 1 + d, -k)
+        t = isqrt(n_hi)
+        return from_ints(r, t if t * t == n_hi else t + 1, -k)
 
     # -- rounding -----------------------------------------------------
 
@@ -172,39 +225,70 @@ class Interval:
 
     def round_out_grid(self, k: int) -> "Interval":
         """Widen endpoints outward onto the grid of multiples of 2**-k."""
-        return Interval(self.lo.floor_to_grid(k), self.hi.ceil_to_grid(k))
+        s = self.e + k
+        if s >= 0:
+            return self
+        return from_ints(self.a >> -s, -((-self.b) >> -s), -k)
 
     def widen(self, pad: Dyadic) -> "Interval":
-        return Interval(self.lo - pad, self.hi + pad)
+        """[lo - pad, hi + pad] for pad >= 0."""
+        if pad.mantissa < 0:
+            raise ValueError(f"negative pad {pad}")
+        return self + from_ints(-pad.mantissa, pad.mantissa, pad.exponent)
 
     def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi)
+        a, b, c, d, e = _align(self, other)
+        lo, hi = max(a, c), min(b, d)
+        if lo > hi:
+            raise ValueError(f"disjoint intervals {self} and {other}")
+        return from_ints(lo, hi, e)
+
+
+_new = object.__new__
+_set_a, _set_b, _set_e = Interval.a.__set__, Interval.b.__set__, Interval.e.__set__
+
+
+def from_ints(a: int, b: int, e: int) -> Interval:
+    """[a * 2**e, b * 2**e] for a <= b, unchecked: the constructor of
+    results, whose ends are ordered by construction."""
+    iv = _new(Interval)
+    _set_a(iv, a)
+    _set_b(iv, b)
+    _set_e(iv, e)
+    return iv
+
+
+def _align(x: Interval, y: Interval) -> tuple[int, int, int, int, int]:
+    """``(a, b, c, d, e)``: the ends of x and y as [a, b] * 2**e and
+    [c, d] * 2**e on the smaller of their exponents."""
+    a, b, e, c, d, f = x.a, x.b, x.e, y.a, y.b, y.e
+    if f > e:
+        c <<= f - e
+        d <<= f - e
+    elif e > f:
+        a <<= e - f
+        b <<= e - f
+        e = f
+    return a, b, c, d, e
+
+
+def _magnitudes(a: int, b: int):
+    """``(sign, lo, hi)`` with [a, b] = sign * [lo, hi] and 0 <= lo when
+    the interval does not straddle zero; otherwise None."""
+    if a >= 0:
+        return 1, a, b
+    if b <= 0:
+        return -1, -b, -a
+    return None
+
+
+def _corner_hull(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """The least and greatest of the four corner products of [a, b]
+    and [c, d]."""
+    products = (a * c, a * d, b * c, b * d)
+    return min(products), max(products)
 
 
 def _floor_scaled(m: int, s: int) -> int:
     """floor(m * 2**s)."""
     return m << s if s >= 0 else m >> -s
-
-
-def _narrow(x: Interval):
-    """``(sign, a, w, e)`` when the points of ``x`` have one sign and
-    their absolute values ``[l, h]`` are narrow, 0 < l and h <= 2*l;
-    they are then ``[a, a + w] * 2**e``.  Otherwise None.  Narrow ends
-    are within a factor of two, so aligning them lengthens neither
-    mantissa by more than a bit; a wider interval could need a shift by
-    the whole distance between its exponents."""
-    lo, hi = x.lo, x.hi
-    if lo.mantissa > 0:
-        sign, lm, le, hm, he = 1, lo.mantissa, lo.exponent, hi.mantissa, hi.exponent
-    elif hi.mantissa < 0:
-        sign, lm, le, hm, he = -1, -hi.mantissa, hi.exponent, -lo.mantissa, lo.exponent
-    else:
-        return None
-    if hm.bit_length() + he > lm.bit_length() + le + 1:
-        return None
-    e = min(le, he)
-    a = lm << (le - e)
-    w = (hm << (he - e)) - a
-    return (sign, a, w, e) if w <= a else None

@@ -1,5 +1,6 @@
 """Dyadic arithmetic against a big-rational oracle."""
 
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -47,6 +48,33 @@ class TestNormalization:
             with pytest.raises(ExponentOverflow):
                 Dyadic(mantissa, exponent)
         assert Dyadic(mantissa, limit - 1 - shift).exponent == limit - 1
+
+
+class TestHash:
+    """Dyadics hash by Python's numeric rule, like the equal int or
+    Fraction, so mixed sets and dict keys find them."""
+
+    @given(
+        st.integers(min_value=-(1 << 80), max_value=1 << 80),
+        st.integers(min_value=-2000, max_value=2000),
+    )
+    def test_matches_the_numeric_hash(self, m, e):
+        assert hash(Dyadic(m, e)) == hash(Fraction(m) * Fraction(2) ** e)
+
+    def test_ints_and_dyadics_find_each_other_in_sets(self):
+        assert 3 in {Dyadic(3)}
+        assert Dyadic(3) in {3}
+        assert Dyadic(-1) in {-1} and -1 in {Dyadic(-1)}  # hash(-1) is -2
+        assert Dyadic(12, -2) in {3}
+        assert {Dyadic(1, 4): "x"}[16] == "x"
+
+    @pytest.mark.parametrize("e", [1 << 40, -(1 << 40)])
+    def test_far_exponents_hash_at_once(self, e):
+        # a modular power, not a shift by the exponent
+        start = time.perf_counter()
+        hash(Dyadic(1, e))
+        hash(Dyadic(-3, e))
+        assert time.perf_counter() - start < 0.05
 
 
 class TestArithmetic:

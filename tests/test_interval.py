@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -87,22 +88,29 @@ def test_mul_equals_corner_hull(x, y):
 @pytest.mark.parametrize("sx", [1, -1])
 @pytest.mark.parametrize("sy", [1, -1])
 def test_mul_of_narrow_operands_makes_no_dyadic_product(sx, sy, monkeypatch):
-    # narrow operands of one sign each multiply on aligned integers
+    # narrow operands of one sign each multiply as magnitudes on the
+    # aligned integers: no Dyadic product, and no corner hull
     x = iv("1.5", "1.75") if sx > 0 else iv("-1.75", "-1.5")
     y = iv(3, 5) if sy > 0 else iv(-5, -3)
     expected = corner_hull(x, y)
     dyadic_mul = Dyadic.__mul__
+    corners = interval_module._corner_hull
     calls = []
 
-    def counted(a, b):
-        calls.append((a, b))
+    def counted_dyadic(a, b):
+        calls.append("dyadic")
         return dyadic_mul(a, b)
 
-    monkeypatch.setattr(Dyadic, "__mul__", counted)
+    def counted_corners(*ends):
+        calls.append("corners")
+        return corners(*ends)
+
+    monkeypatch.setattr(Dyadic, "__mul__", counted_dyadic)
+    monkeypatch.setattr(interval_module, "_corner_hull", counted_corners)
     assert x * y == expected
     assert calls == []
-    iv(0, 1) * y  # the corner path, seen by the counter
-    assert len(calls) == 4
+    iv(-1, 1) * y  # an operand straddles zero: the corner path
+    assert calls == ["corners"]
 
 
 @pytest.mark.parametrize(
@@ -280,13 +288,14 @@ def test_div_sign_cases_match_corner_hull(k, monkeypatch):
     values = [Dyadic(-7, -1), Dyadic(-1, -3), Dyadic(0), Dyadic(5, -2), Dyadic(11)]
     numerators = [Interval(lo, hi) for lo in values for hi in values if lo <= hi]
     divisors = [iv(3, 3), iv("0.125", 5), iv(2, 7), -iv(3, 3), -iv("0.125", 5)]
+    quotient = interval_module.scaled_quotient
     calls = []
 
-    def counted(a, b, k, up):
+    def counted(n, d, s, up):
         calls.append(up)
-        return div_directed(a, b, k, up)
+        return quotient(n, d, s, up)
 
-    monkeypatch.setattr(interval_module, "div_directed", counted)
+    monkeypatch.setattr(interval_module, "scaled_quotient", counted)
     for num in numerators:
         for den in divisors:
             corners = [(x, y) for x in (num.lo, num.hi) for y in (den.lo, den.hi)]
@@ -297,6 +306,152 @@ def test_div_sign_cases_match_corner_hull(k, monkeypatch):
             calls.clear()
             assert num.div(den, k) == hull
             assert sorted(calls) == [False, True]
+
+
+def ends(box):
+    """The ends of an interval as exact Fractions."""
+    return box.lo.to_fraction(), box.hi.to_fraction()
+
+
+# -- representation: (a, b, e), with lo and hi as canonical views -------
+
+
+def test_equality_by_value_across_exponents():
+    one_two = Interval(Dyadic(1), Dyadic(2))
+    step = Interval.point(Dyadic(1, -40))
+    on_grid = (one_two + step) - step  # [2**40, 2**41] * 2**-40
+    assert (one_two.e, on_grid.e) == (0, -40)
+    assert on_grid == one_two and one_two == on_grid
+    assert on_grid != Interval(Dyadic(1), Dyadic(3))
+    assert on_grid != Interval(Dyadic(0), Dyadic(2))
+    assert on_grid.scale2(-1) == Interval(Dyadic(1, -1), Dyadic(1))
+    assert on_grid != (1, 2)
+
+
+def test_a_zero_end_forces_no_shift():
+    # the ends align on the exponent of the nonzero end
+    up = Interval(Dyadic(0), Dyadic(1, 100_000))
+    down = Interval(Dyadic(-1, -100_000), Dyadic(0))
+    assert (up.a, up.b, up.e) == (0, 1, 100_000)
+    assert (down.a, down.b, down.e) == (-1, 0, -100_000)
+    zero = Interval.point(Dyadic(0))
+    assert (zero.a, zero.b, zero.e) == (0, 0, 0)
+
+
+def canonical(d):
+    """Odd mantissa, or zero written as 0 * 2**0."""
+    return d.mantissa & 1 == 1 or (d.mantissa, d.exponent) == (0, 0)
+
+
+@given(intervals(), intervals(), st.integers(min_value=-40, max_value=40))
+@example(iv(0, 0), iv(0, 0), 0)
+@example(
+    Interval(Dyadic(0), Dyadic(1, 100_000)),
+    Interval(Dyadic(-1, -100_000), Dyadic(0)),
+    3,
+)
+@example(
+    Interval(Dyadic(1, -100_000), Dyadic(1, 100_000)),
+    Interval(Dyadic(-3, 100_000), Dyadic(5, -100_000)),
+    -7,
+)
+def test_views_are_canonical_and_round_trip(x, y, k):
+    for box in (x, y, x + y, x - y, x * y, abs(x), x.maximum(y), x.round_out_grid(k)):
+        lo, hi = box.lo, box.hi
+        assert canonical(lo) and canonical(hi)
+        again = Interval(lo, hi)
+        assert again == box
+        assert (again.lo.mantissa, again.lo.exponent) == (lo.mantissa, lo.exponent)
+        assert (again.hi.mantissa, again.hi.exponent) == (hi.mantissa, hi.exponent)
+
+
+def test_immutable():
+    box = iv(1, 2)
+    for name in ("a", "b", "e", "lo", "hi"):
+        with pytest.raises(AttributeError):
+            setattr(box, name, 0)
+    other = iv(-3, 5)
+    for result in (box + other, box * other, -box, box.scale2(3), box.div(iv(3, 7), 8)):
+        assert result is not box
+    assert (box.a, box.b, box.e) == (1, 2, 0) and box == iv(1, 2)
+    assert other == iv(-3, 5)
+
+
+# -- the remaining operations against exact Fractions ------------------
+
+
+@given(intervals())
+def test_midpoint_exact(box):
+    lo, hi = ends(box)
+    assert box.midpoint().to_fraction() == (lo + hi) / 2
+
+
+@given(intervals(), st.integers(min_value=-40, max_value=40))
+def test_round_out_grid_exact(box, k):
+    lo, hi = ends(box)
+    step = Fraction(2) ** -k
+    out_lo, out_hi = ends(box.round_out_grid(k))
+    assert out_lo == floor(lo / step) * step
+    assert out_hi == ceil(hi / step) * step
+
+
+@given(intervals(), st.integers(min_value=-100, max_value=100))
+def test_scale2_exact(box, k):
+    lo, hi = ends(box)
+    assert ends(box.scale2(k)) == (lo * Fraction(2) ** k, hi * Fraction(2) ** k)
+
+
+@given(intervals())
+def test_abs_exact(box):
+    lo, hi = ends(box)
+    if lo >= 0:
+        expected = (lo, hi)
+    elif hi <= 0:
+        expected = (-hi, -lo)
+    else:
+        expected = (Fraction(0), max(-lo, hi))
+    assert ends(abs(box)) == expected
+
+
+@given(intervals(), small_dyadics)
+def test_widen_exact(box, pad):
+    pad = abs(pad)
+    lo, hi = ends(box)
+    p = pad.to_fraction()
+    assert ends(box.widen(pad)) == (lo - p, hi + p)
+
+
+def test_widen_rejects_a_negative_pad():
+    with pytest.raises(ValueError):
+        iv(0, 1).widen(Dyadic(-1))
+
+
+@given(intervals(), intervals())
+def test_intersect_exact(x, y):
+    (a, b), (c, d) = ends(x), ends(y)
+    if max(a, c) > min(b, d):
+        with pytest.raises(ValueError):
+            x.intersect(y)
+    else:
+        assert ends(x.intersect(y)) == (max(a, c), min(b, d))
+
+
+@given(intervals(), intervals())
+def test_maximum_and_precedes_exact(x, y):
+    (a, b), (c, d) = ends(x), ends(y)
+    assert ends(x.maximum(y)) == (max(a, c), max(b, d))
+    assert x.precedes(y) == (b < c)
+
+
+@given(intervals(), st.integers(min_value=-40, max_value=80))
+@example(iv(0, 1), 0)  # widths of exactly 2**-n
+@example(iv(1, "1.25"), 2)
+@example(iv(-4, 4), -3)
+@example(iv(3, 3), 80)
+def test_width_at_most_exact(box, n):
+    lo, hi = ends(box)
+    assert box.width_at_most(n) == (hi - lo <= Fraction(2) ** -n)
+    assert box.width_at_most(n) == (box.width() <= Dyadic(1, -n))
 
 
 def test_repr_of_a_20k_bit_interval():
