@@ -116,12 +116,11 @@ class Interval:
     def __mul__(self, other: "Interval") -> "Interval":
         """Exact product.  Operands of one sign each multiply as
         magnitudes ``[x0, x1]`` and ``[y0, y1]``: the lower end is
-        ``x0*y0``.  When both are narrow, ``x1 <= 2*x0`` and
-        ``y1 <= 2*y0``, the upper end ``x0*y0 + x0*(y1 - y0) +
-        (x1 - x0)*y1`` adds products with the small widths to that one
-        full product; otherwise it is ``x1*y1``.  The signs pick which
-        end is which.  An operand that straddles zero takes the hull of
-        the four corner products."""
+        ``x0*y0``, and the upper end ``x0*y0 + x0*(y1 - y0) +
+        (x1 - x0)*y1`` adds products with the widths to that one full
+        product, so narrow operands make one full product.  The signs
+        pick which end is which.  An operand that straddles zero takes
+        the hull of the four corner products."""
         a, b, e = self.a, self.b, self.e
         c, d, f = other.a, other.b, other.e
         x = _magnitudes(a, b)
@@ -132,10 +131,7 @@ class Interval:
         sx, x0, x1 = x
         sy, y0, y1 = y
         lo = x0 * y0
-        if x1 <= 2 * x0 and y1 <= 2 * y0:
-            hi = lo + x0 * (y1 - y0) + (x1 - x0) * y1
-        else:
-            hi = x1 * y1
+        hi = lo + x0 * (y1 - y0) + (x1 - x0) * y1
         if sx != sy:
             lo, hi = -hi, -lo
         return from_ints(lo, hi, e + f)

@@ -122,9 +122,11 @@ def test_mul_of_narrow_operands_makes_no_dyadic_product(sx, sy, monkeypatch):
     ids=["squared", "times-narrow-10k"],
 )
 def test_mul_of_a_wide_interval_is_cheap(y):
-    # ends 2**200000 apart: aligning them would build 200,000-bit integers
-    x = Interval(Dyadic(1, -100_000), Dyadic(1, 100_000))
+    # ends 2**200000 apart share one exponent, so x holds a 200,000-bit
+    # upper end: this bounds building such an interval and one product
+    # of its aligned ends
     start = time.perf_counter()
+    x = Interval(Dyadic(1, -100_000), Dyadic(1, 100_000))
     product = x * y
     assert time.perf_counter() - start < 0.25
     assert product == corner_hull(x, y)
