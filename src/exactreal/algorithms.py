@@ -9,7 +9,6 @@ handled by an invariant-guided refinement limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import Callable
 
 from .creal import (
@@ -22,7 +21,7 @@ from .creal import (
     limit_refine,
     refinement_terms,
 )
-from .dyadic import Dyadic
+from .dyadic import Dyadic, isqrt_rem
 from .interval import Interval, from_ints
 from .kleenean import Branch, _select_with_effort, select, select_index
 
@@ -84,7 +83,8 @@ def _pi_interval(p: int) -> Interval:
       |S - T/Q| Q, and S Q lies in (T - e, T + e).
     - s = T/Q is within 2A 2**-41 of A, so s > 2**23, and
       eps = e/Q <= 2**(25-41n) + 1/Q < 2 < s: T - e > 0.
-    - r = isqrt(10005 4**g) <= sqrt(10005) 2**g < r + 1, so pi 2**g
+    - r = floor(sqrt(10005 4**g)), exact from ``isqrt_rem``, so
+      r <= sqrt(10005) 2**g < r + 1, and pi 2**g
       lies in (426880 r Q/(T+e), 426880 (r+1) Q/(T-e)); lo floors the
       first bound and hi ceils the second.
     - hi - lo < X + 2 with X = 426880 (s + eps (1+2r)) / (s**2 - eps**2)
@@ -100,7 +100,7 @@ def _pi_interval(p: int) -> Interval:
     n = (g + 30) // 41 + 1
     _, q, t = _pqt(0, n)
     e = (q >> (41 * n - 25)) + 1
-    r = isqrt(10005 << 2 * g)
+    r, _ = isqrt_rem(10005 << 2 * g)
     lo = 426880 * r * q // (t + e)
     hi = -(-426880 * (r + 1) * q // (t - e))
     return from_ints(lo, hi, -g)
@@ -202,11 +202,13 @@ def sqrt_scale(x) -> tuple[int, CReal]:
 def real_sqrt(x) -> CReal:
     """sqrt(x) for x >= 0, total including 0, by precision iteration
     over ``Interval.sqrt``: one integer square root per working
-    precision q.  The radicand is clipped at 0 and sqrt(hi) - sqrt(lo)
-    <= sqrt(hi - lo), so every x >= 0, including a hidden zero, meets
-    the width by q = 2p + 8, one doubling past the first try; for x in
-    [0.25, 2] the first try meets it.  A radicand certified below zero
-    raises ``EffortExhausted`` at once."""
+    precision q, ``isqrt_rem``'s Karatsuba square root, which hands
+    radicands under about 1,800 bits to ``math.isqrt``.  The radicand
+    is clipped at 0 and sqrt(hi) - sqrt(lo) <= sqrt(hi - lo), so every
+    x >= 0, including a hidden zero, meets the width by q = 2p + 8, one
+    doubling past the first try; for x in [0.25, 2] the first try meets
+    it.  A radicand certified below zero raises ``EffortExhausted`` at
+    once."""
     return _binary(
         CReal._coerce(x), None, lambda a, _, q: a.sqrt(q), "refining a square root"
     )

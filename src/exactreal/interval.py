@@ -20,9 +20,7 @@ ends share an exponent anyway.
 
 from __future__ import annotations
 
-from math import isqrt
-
-from .dyadic import Dyadic, scaled_quotient
+from .dyadic import Dyadic, isqrt_rem, scaled_quotient
 from .errors import DivisorStraddlesZero, OutsideDomain
 
 
@@ -186,14 +184,16 @@ class Interval:
         """Square roots of the points x >= 0 of the interval, rounded
         outward onto the grid of multiples of 2**-k.
 
-        The lower end is r = isqrt(floor(lo * 4**k)), with lo clipped at
-        0.  sqrt is concave, so its tangent at n_lo = floor(lo * 4**k)
-        bounds it above: sqrt(n_hi) <= r + 1 + (n_hi - n_lo)/(2r) for
-        r > 0, one small division instead of a second full isqrt.  The
-        tangent overshoots by about d**2/(2r) grid steps for a quotient
-        d, so a ceiling isqrt is taken instead when r = 0 or d**2 > r.
-        The lower end is monotone in the interval; the upper end is not,
-        since a wider interval may take the tighter ceiling isqrt.
+        The lower end is the integer root r of n_lo = floor(lo * 4**k),
+        with lo clipped at 0, from ``isqrt_rem``.  sqrt is concave, so
+        its tangent at n_lo bounds it above: sqrt(n_hi) <= r + 1 +
+        (n_hi - n_lo)/(2r) for r > 0, one small division instead of a
+        second full root.  The tangent overshoots by about d**2/(2r) grid
+        steps for a quotient d, so when r = 0 or d**2 > r the upper end
+        is the ceiling root of n_hi instead: its floor root, plus one
+        when the remainder is positive.  The lower end is monotone in
+        the interval; the upper end is not, since a wider interval may
+        take the tighter ceiling root.
 
         Raises ``OutsideDomain`` when the interval lies below zero; the
         radicand is then certified negative, and the real layer refuses
@@ -205,13 +205,13 @@ class Interval:
         s = self.e + 2 * k
         n_lo = _floor_scaled(a, s) if a > 0 else 0
         n_hi = -_floor_scaled(-b, s)
-        r = isqrt(n_lo)
+        r, _ = isqrt_rem(n_lo)
         if r:
             d = -((n_lo - n_hi) // (2 * r))  # ceil((n_hi - n_lo) / (2r))
             if d * d <= r:
                 return from_ints(r, r + 1 + d, -k)
-        t = isqrt(n_hi)
-        return from_ints(r, t if t * t == n_hi else t + 1, -k)
+        t, rem = isqrt_rem(n_hi)
+        return from_ints(r, t + (rem > 0), -k)
 
     # -- rounding -----------------------------------------------------
 

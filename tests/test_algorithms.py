@@ -22,7 +22,11 @@ from exactreal.algorithms import (
     sqrt_restricted,
     sqrt_scale,
 )
-from exactreal import algorithms as algorithms_module, interval as interval_module
+from exactreal import (
+    algorithms as algorithms_module,
+    dyadic as dyadic_module,
+    interval as interval_module,
+)
 from exactreal.creal import CReal, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted
@@ -267,27 +271,35 @@ dyadics = st.builds(Dyadic, st.integers(-(2**80), 2**80), st.integers(-120, 20))
 
 class TestNewtonSqrt:
     """sqrt_restricted is precision iteration over ``Interval.sqrt``,
-    whose integer square root is itself a precision-doubling Newton
-    iteration; no interval division and one full-width isqrt per
-    working precision."""
+    whose integer square root is ``isqrt_rem``'s Karatsuba recursion;
+    no interval division and one full-width root per working
+    precision, none of them a wide ``math.isqrt``."""
 
     def record(self, monkeypatch):
-        """Count interval divisions and integer square roots of
-        operands of at least 10,000 bits."""
-        seen = {"divisions": 0, "wide_isqrts": 0}
+        """Count interval divisions, ``Interval.sqrt``'s integer square
+        roots of radicands of at least 10,000 bits, and ``math.isqrt``
+        calls on such radicands inside ``isqrt_rem``."""
+        seen = {"divisions": 0, "wide_isqrts": 0, "wide_math_isqrts": 0}
         div = Interval.div
+        isqrt_rem = dyadic_module.isqrt_rem
 
         def counted_div(self, other, bits):
             seen["divisions"] += 1
             return div(self, other, bits)
 
-        def counted_isqrt(n):
+        def counted_isqrt_rem(n):
             if n.bit_length() >= 10_000:
                 seen["wide_isqrts"] += 1
+            return isqrt_rem(n)
+
+        def counted_isqrt(n):
+            if n.bit_length() >= 10_000:
+                seen["wide_math_isqrts"] += 1
             return isqrt(n)
 
         monkeypatch.setattr(Interval, "div", counted_div)
-        monkeypatch.setattr(interval_module, "isqrt", counted_isqrt)
+        monkeypatch.setattr(interval_module, "isqrt_rem", counted_isqrt_rem)
+        monkeypatch.setattr(dyadic_module, "isqrt", counted_isqrt)
         return seen
 
     def test_sqrt2_one_wide_isqrt(self, monkeypatch):
@@ -297,6 +309,7 @@ class TestNewtonSqrt:
         assert in_interval(iv.widen(Dyadic(1, -10_000)), sqrt_oracle(Fraction(2), 10_000))
         assert seen["divisions"] == 0
         assert seen["wide_isqrts"] <= 1
+        assert seen["wide_math_isqrts"] == 0
 
     def test_sqrt_sqrt2_two_wide_isqrts(self, monkeypatch):
         seen = self.record(monkeypatch)
@@ -305,6 +318,7 @@ class TestNewtonSqrt:
         assert seen["divisions"] == 0
         # one per square root
         assert seen["wide_isqrts"] <= 2
+        assert seen["wide_math_isqrts"] == 0
 
     @given(lo=dyadics, hi=dyadics, k=st.integers(0, 300), j=st.integers(0, 2**12))
     def test_interval_sqrt_sound(self, lo, hi, k, j):

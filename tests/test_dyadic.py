@@ -1,14 +1,16 @@
 """Dyadic arithmetic against a big-rational oracle."""
 
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from exactreal import dyadic as dyadic_module
-from exactreal.dyadic import ZERO, Dyadic, decimal_string, div_directed
+from exactreal.dyadic import ZERO, Dyadic, decimal_string, div_directed, isqrt_rem
 from exactreal.errors import ExponentOverflow
 
 dyadics = st.builds(
@@ -208,6 +210,80 @@ class TestDirectedDivision:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             div_directed(Dyadic(1), ZERO, 10, up=False)
+
+
+def root_and_remainder(m):
+    s = isqrt(m)
+    return s, m - s * s
+
+
+# the shortest radicand that isqrt_rem splits rather than hands to isqrt
+_FIRST_SPLIT_BITS = 4 * dyadic_module._ISQRT_SPLIT_MIN + 1
+
+
+def _edge_radicands():
+    for m in (0, 1, 2, 3, 4):
+        yield pytest.param(m, id=str(m))
+    for name, root in (
+        ("2", 2),
+        ("3", 3),
+        ("2^500", 1 << 500),
+        ("2^1000-1", (1 << 1000) - 1),
+        ("3^2000", 3**2000),
+        ("2^5000+1", (1 << 5000) + 1),
+    ):
+        square = root * root
+        yield pytest.param(square - 1, id=f"({name})^2-1")
+        yield pytest.param(square, id=f"({name})^2")
+        yield pytest.param(square + 1, id=f"({name})^2+1")
+    for b in (1, 2, 3, 10_000, 10_001):
+        yield pytest.param(1 << b, id=f"2^{b}")
+    # deep-sqrt's sparse k << 2q radicands
+    for k in (2, 3, 5, 99):
+        for q in (1000, 5000, 10_000):
+            yield pytest.param(k << 2 * q, id=f"{k}<<{2 * q}")
+    for bits in range(_FIRST_SPLIT_BITS - 3, _FIRST_SPLIT_BITS + 4):
+        square = (isqrt((1 << (bits - 1)) - 1) + 1) ** 2  # the least bits-bit square
+        yield pytest.param((1 << bits) - 1, id=f"{bits}bits-max")
+        yield pytest.param(1 << (bits - 1), id=f"{bits}bits-min")
+        yield pytest.param(square, id=f"{bits}bits-least-square")
+        yield pytest.param(square - 1, id=f"{bits}bits-least-square-1")
+
+
+class TestIntegerSquareRoot:
+    """``isqrt_rem`` is math.isqrt's root with its exact remainder."""
+
+    @pytest.mark.parametrize("m", _edge_radicands())
+    def test_edge_cases(self, m):
+        assert isqrt_rem(m) == root_and_remainder(m)
+
+    @given(
+        bits=st.integers(0, 60_000),
+        seed=st.integers(0, 2**32),
+        shape=st.sampled_from(["dense", "square", "below", "above"]),
+    )
+    def test_equals_isqrt_and_remainder(self, bits, seed, shape):
+        m = random.Random(seed).getrandbits(bits)
+        if shape != "dense":
+            # a perfect square or a neighbour, where a root one too
+            # large would show as a negative remainder
+            m = isqrt(m) ** 2 + {"square": 0, "below": -1, "above": 1}[shape]
+        m = max(m, 0)
+        assert isqrt_rem(m) == root_and_remainder(m)
+
+    def test_every_small_radicand_through_deep_recursion(self, monkeypatch):
+        # splits from 1 bit up run the recursion several levels deep,
+        # and its correction often, on radicands small enough to check
+        # them all
+        monkeypatch.setattr(dyadic_module, "_ISQRT_SPLIT_MIN", 1)
+        for m in range(1 << 14):
+            assert isqrt_rem(m) == root_and_remainder(m)
+        rng = random.Random(7)
+        for _ in range(2000):
+            root = rng.getrandbits(rng.randrange(1, 400))
+            for m in (root * root - 1, root * root, root * root + 1):
+                if m >= 0:
+                    assert isqrt_rem(m) == root_and_remainder(m)
 
 
 class TestDecimalString:
