@@ -21,9 +21,10 @@ from .creal import (
     limit_refine,
     refinement_terms,
 )
-from .dyadic import Dyadic, isqrt_rem
+from .dyadic import Dyadic, isqrt_rem, scaled_quotient
+from .errors import EffortExhausted
 from .interval import Interval, from_ints
-from .kleenean import Branch, _select_with_effort, select, select_index
+from .kleenean import Branch, _select_with_effort, current_budget, select, select_index
 
 # -- maximum and absolute value ---------------------------------------
 
@@ -101,8 +102,8 @@ def _pi_interval(p: int) -> Interval:
     _, q, t = _pqt(0, n)
     e = (q >> (41 * n - 25)) + 1
     r, _ = isqrt_rem(10005 << 2 * g)
-    lo = 426880 * r * q // (t + e)
-    hi = -(-426880 * (r + 1) * q // (t - e))
+    lo = scaled_quotient(426880 * r * q, t + e, 0, up=False)
+    hi = scaled_quotient(426880 * (r + 1) * q, t - e, 0, up=True)
     return from_ints(lo, hi, -g)
 
 
@@ -122,12 +123,16 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
     trisection point a1 < b1 by certifying g(a1) < 0 or 0 < g(b1), so
     the uncomputable comparison of g against 0 is never needed; the
     bracket shrinks by 2/3 per step.  Endpoints are exact rationals.
+    Term n takes about 1.7 n steps, so an n above the effort budget
+    raises ``EffortExhausted`` before the first.
     """
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("invalid bracket: need a < b")
 
     def step(n: int, mid: CReal, hint):
+        if n > current_budget():
+            raise EffortExhausted(current_budget(), f"trisecting to {n} bits")
         a, b, effort, sign = hint
         if sign is None:
             fa, fb = f(CReal.from_fraction(a)), f(CReal.from_fraction(b))

@@ -15,7 +15,7 @@ from functools import partial
 from math import inf
 from typing import Callable
 
-from .dyadic import _EXP_LIMIT, Dyadic, ZERO, decimal_string
+from .dyadic import _EXP_LIMIT, Dyadic, ZERO, decimal_string, scaled_quotient
 from .errors import (
     DivisorStraddlesZero,
     EffortExhausted,
@@ -96,7 +96,7 @@ class CReal:
 
         def fn(p: int) -> Interval:
             k = p + 2
-            lo = (num << k) // den
+            lo = scaled_quotient(num, den, k, up=False)
             return from_ints(lo, lo + 1, -k)
 
         return cls(fn)

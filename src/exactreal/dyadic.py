@@ -5,7 +5,8 @@ of interval ends (``Interval.lo`` and ``hi``); intervals compute on
 plain integers.  Addition, subtraction and multiplication are exact,
 and directed rounding is the only lossy operation.  Values are
 immutable and hash like the equal int or Fraction.  ``scaled_quotient``
-is the one directed integer division, shared with ``Interval.div``, and
+is the one directed rounding, the floor or ceiling of n * 2**s / d that
+every grid rounding and directed division of the library calls, and
 ``isqrt_rem`` the one integer square root, used by ``Interval.sqrt``
 and pi.
 """
@@ -58,6 +59,21 @@ def decimal_string(n: int, point: int = 0) -> str:
         return convert(hi, i - 1) + convert(lo, i - 1).rjust(width, "0")
 
     return convert(n, len(powers))
+
+
+def _operator(combine):
+    """Dyadic's operator ``x op y`` from ``combine`` on two Dyadics: an
+    int y is taken exactly, and any other type returns NotImplemented,
+    so that Python raises ``TypeError`` (or makes ``==`` false)."""
+
+    def method(x, y):
+        if not isinstance(y, Dyadic):
+            if not isinstance(y, int):
+                return NotImplemented
+            y = Dyadic(y)
+        return combine(x, y)
+
+    return method
 
 
 def _normalize(mantissa: int, exponent: int) -> tuple[int, int]:
@@ -124,48 +140,22 @@ class Dyadic:
 
     # -- arithmetic (exact) -------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Dyadic):
-            return other
-        if isinstance(other, int):
-            return Dyadic(other, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _sum(self, other):
         e = min(self.exponent, other.exponent)
         m = (self.mantissa << (self.exponent - e)) + (
             other.mantissa << (other.exponent - e)
         )
         return Dyadic(m, e)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _operator(_sum)
+    __sub__ = _operator(lambda x, y: x + (-y))
+    __rsub__ = _operator(lambda x, y: y + (-x))
+    __mul__ = __rmul__ = _operator(
+        lambda x, y: Dyadic(x.mantissa * y.mantissa, x.exponent + y.exponent)
+    )
 
     def __neg__(self):
         return Dyadic(-self.mantissa, self.exponent)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dyadic(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
-    __rmul__ = __mul__
 
     def scale2(self, k: int) -> "Dyadic":
         """Exact multiplication by ``2**k``."""
@@ -193,12 +183,11 @@ class Dyadic:
             b <<= -e
         return (a > b) - (a < b)
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # canonical form: value equality is structural equality
-        return self.mantissa == other.mantissa and self.exponent == other.exponent
+    __eq__ = _operator(lambda x, y: x._cmp(y) == 0)
+    __lt__ = _operator(lambda x, y: x._cmp(y) < 0)
+    __le__ = _operator(lambda x, y: x._cmp(y) <= 0)
+    __gt__ = _operator(lambda x, y: x._cmp(y) > 0)
+    __ge__ = _operator(lambda x, y: x._cmp(y) >= 0)
 
     def __hash__(self):
         # Python's numeric hash, so that Dyadic(3) and 3 hash alike:
@@ -207,30 +196,6 @@ class Dyadic:
         # -1 into -2
         h = abs(self.mantissa) % _HASH_P * pow(2, self.exponent, _HASH_P) % _HASH_P
         return -h if self.mantissa < 0 else h
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) >= 0
 
     @property
     def sign(self) -> int:
@@ -244,35 +209,32 @@ class Dyadic:
         Precision counts fraction bits below the leading one (floating
         point style), so the error is below one ulp, 2**(e_lead - bits).
         """
-        if bits < 1:
-            raise ValueError("bits must be >= 1")
-        excess = abs(self.mantissa).bit_length() - bits - 1
-        if excess <= 0:
-            return self
-        return Dyadic(self.mantissa >> excess, self.exponent + excess)
+        return self._round_bits(bits, up=False)
 
     def round_up(self, bits: int) -> "Dyadic":
         """Smallest dyadic >= self representable with ``bits`` precision."""
+        return self._round_bits(bits, up=True)
+
+    def _round_bits(self, bits: int, up: bool) -> "Dyadic":
         if bits < 1:
             raise ValueError("bits must be >= 1")
-        excess = abs(self.mantissa).bit_length() - bits - 1
-        if excess <= 0:
-            return self
-        return Dyadic(-((-self.mantissa) >> excess), self.exponent + excess)
+        # the grid whose step lies ``bits`` places below the leading one
+        k = bits + 1 - abs(self.mantissa).bit_length() - self.exponent
+        return self._round_grid(k, up)
 
     def floor_to_grid(self, k: int) -> "Dyadic":
         """Largest multiple of ``2**-k`` that is <= self."""
-        shift = self.exponent + k
-        if shift >= 0:
-            return self
-        return Dyadic(self.mantissa >> -shift, -k)
+        return self._round_grid(k, up=False)
 
     def ceil_to_grid(self, k: int) -> "Dyadic":
         """Smallest multiple of ``2**-k`` that is >= self."""
+        return self._round_grid(k, up=True)
+
+    def _round_grid(self, k: int, up: bool) -> "Dyadic":
         shift = self.exponent + k
         if shift >= 0:
             return self
-        return Dyadic(-((-self.mantissa) >> -shift), -k)
+        return Dyadic(scaled_quotient(self.mantissa, 1, shift, up), -k)
 
 
 ZERO = Dyadic(0)
@@ -280,8 +242,13 @@ ZERO = Dyadic(0)
 
 def scaled_quotient(n: int, d: int, s: int, up: bool) -> int:
     """``floor(n * 2**s / d)``, or the ceiling when ``up``, for d != 0:
-    one shift and one floor division, which rounds toward -infinity for
-    every sign."""
+    the library's one directed rounding.  For d = 1 it is one shift,
+    else one shift and one floor division, which rounds toward -infinity
+    for every sign; the ceiling is minus the floor of minus n."""
+    if d == 1:
+        if s >= 0:
+            return n << s
+        return -((-n) >> -s) if up else n >> -s
     if s >= 0:
         n <<= s
     else:

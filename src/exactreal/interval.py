@@ -185,13 +185,14 @@ class Interval:
         outward onto the grid of multiples of 2**-k.
 
         The lower end is the integer root r of n_lo = floor(lo * 4**k),
-        with lo clipped at 0, from ``isqrt_rem``.  sqrt is concave, so
-        its tangent at n_lo bounds it above: sqrt(n_hi) <= r + 1 +
-        (n_hi - n_lo)/(2r) for r > 0, one small division instead of a
-        second full root.  The tangent overshoots by about d**2/(2r) grid
-        steps for a quotient d, so when r = 0 or d**2 > r the upper end
-        is the ceiling root of n_hi instead: its floor root, plus one
-        when the remainder is positive.  The lower end is monotone in
+        with lo clipped at 0, from ``isqrt_rem``; n_hi = ceil(hi * 4**k).
+        sqrt is concave, so its tangent at n_lo bounds it above:
+        sqrt(n_hi) <= r + 1 + d with d = ceil((n_hi - n_lo)/(2r)) for
+        r > 0, one small division instead of a second full root.  These
+        three roundings are ``scaled_quotient``'s.  The tangent
+        overshoots by about d**2/(2r) grid steps, so when r = 0 or
+        d**2 > r the upper end is the ceiling root of n_hi instead: its
+        floor root, plus one when the remainder is positive.  The lower end is monotone in
         the interval; the upper end is not, since a wider interval may
         take the tighter ceiling root.
 
@@ -203,11 +204,11 @@ class Interval:
         if b < 0:
             raise OutsideDomain("radicand interval is negative")
         s = self.e + 2 * k
-        n_lo = _floor_scaled(a, s) if a > 0 else 0
-        n_hi = -_floor_scaled(-b, s)
+        n_lo = scaled_quotient(a, 1, s, up=False) if a > 0 else 0
+        n_hi = scaled_quotient(b, 1, s, up=True)
         r, _ = isqrt_rem(n_lo)
         if r:
-            d = -((n_lo - n_hi) // (2 * r))  # ceil((n_hi - n_lo) / (2r))
+            d = scaled_quotient(n_hi - n_lo, 2 * r, 0, up=True)
             if d * d <= r:
                 return from_ints(r, r + 1 + d, -k)
         t, rem = isqrt_rem(n_hi)
@@ -224,7 +225,8 @@ class Interval:
         s = self.e + k
         if s >= 0:
             return self
-        return from_ints(self.a >> -s, -((-self.b) >> -s), -k)
+        lo = scaled_quotient(self.a, 1, s, up=False)
+        return from_ints(lo, scaled_quotient(self.b, 1, s, up=True), -k)
 
     def widen(self, pad: Dyadic) -> "Interval":
         """[lo - pad, hi + pad] for pad >= 0."""
@@ -283,8 +285,3 @@ def _corner_hull(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     and [c, d]."""
     products = (a * c, a * d, b * c, b * d)
     return min(products), max(products)
-
-
-def _floor_scaled(m: int, s: int) -> int:
-    """floor(m * 2**s)."""
-    return m << s if s >= 0 else m >> -s

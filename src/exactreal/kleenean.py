@@ -1,7 +1,7 @@
 """Lazy three-valued truth values and the ``select`` primitive.
 
-A ``Kleenean`` is one of true/false/bottom, where bottom stands for a
-test that never answers.  A ``LazyKleenean`` is an effort-indexed,
+A ``Kleenean`` is one of false < bottom < true, where bottom stands for
+a test that never answers.  A ``LazyKleenean`` is an effort-indexed,
 monotone sequence of Kleeneans: once an effort level yields a definite
 answer, every higher effort yields the same answer.  ``select`` is the
 sole source of nondeterminism in the library.
@@ -38,30 +38,24 @@ def effort_budget(budget: int):
 
 
 class Kleenean(enum.Enum):
-    TRUE = "true"
-    FALSE = "false"
-    BOTTOM = "bottom"
+    """Kleene's three truth values, ordered FALSE < BOTTOM < TRUE.
+
+    On that order strong Kleene logic is a lattice: ``&`` is the
+    smaller value, ``|`` the larger, and ``~`` negates, fixing BOTTOM.
+    """
+
+    FALSE = -1
+    BOTTOM = 0
+    TRUE = 1
 
     def __invert__(self) -> "Kleenean":
-        if self is Kleenean.TRUE:
-            return Kleenean.FALSE
-        if self is Kleenean.FALSE:
-            return Kleenean.TRUE
-        return Kleenean.BOTTOM
+        return Kleenean(-self.value)
 
     def __and__(self, other: "Kleenean") -> "Kleenean":
-        if self is Kleenean.FALSE or other is Kleenean.FALSE:
-            return Kleenean.FALSE
-        if self is Kleenean.TRUE and other is Kleenean.TRUE:
-            return Kleenean.TRUE
-        return Kleenean.BOTTOM
+        return Kleenean(min(self.value, other.value))
 
     def __or__(self, other: "Kleenean") -> "Kleenean":
-        if self is Kleenean.TRUE or other is Kleenean.TRUE:
-            return Kleenean.TRUE
-        if self is Kleenean.FALSE and other is Kleenean.FALSE:
-            return Kleenean.FALSE
-        return Kleenean.BOTTOM
+        return Kleenean(max(self.value, other.value))
 
 
 TRUE = Kleenean.TRUE
@@ -114,33 +108,27 @@ class LazyKleenean:
         return LazyKleenean(lambda n: self.at(n) | other.at(n))
 
 
-def _effort_schedule(budget: int, start: int):
-    """Deterministic effort levels start, start+1, start+3, start+7, ...
-    (start + 2**i - 1), capped at the budget.
-
-    Geometric advance keeps the total work of the underlying
-    evaluations within a constant factor of the final level; a start
-    hint lets iterated searches resume near their last success.
-    """
-    n = min(start, budget)
-    step = 1
-    while True:
-        yield n
-        if n >= budget:
-            return
-        n = min(budget, n + step)
-        step *= 2
-
-
 def _select_with_effort(
     candidates: Sequence[LazyKleenean], start: int
 ) -> tuple[int, int]:
+    """``(index, effort)`` of the first candidate found true, querying
+    all of them at the effort levels start, start+1, start+3, start+7,
+    ... (start + 2**i - 1), capped at the budget.
+
+    Geometric advance keeps the total work of the underlying
+    evaluations within a constant factor of the final level; a start
+    hint lets iterated searches resume near their last success.  Raises
+    ``EffortExhausted`` once the budget itself was tried.
+    """
     budget = current_budget()
-    for n in _effort_schedule(budget, start):
+    n, step = min(start, budget), 1
+    while True:
         for i, k in enumerate(candidates):
             if k.at(n) is TRUE:
                 return i, n
-    raise EffortExhausted(budget, "waiting for a true Kleenean in select")
+        if n >= budget:
+            raise EffortExhausted(budget, "waiting for a true Kleenean in select")
+        n, step = min(budget, n + step), 2 * step
 
 
 def select_index(candidates: Sequence[LazyKleenean]) -> int:

@@ -31,7 +31,7 @@ from exactreal.creal import CReal, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted
 from exactreal.interval import Interval
-from exactreal.kleenean import effort_budget
+from exactreal.kleenean import DEFAULT_BUDGET, effort_budget
 
 
 def in_interval(iv: Interval, value: Fraction) -> bool:
@@ -159,6 +159,26 @@ class TestTrisection:
             root.approx(1 << 20)
         assert err.value.budget == 1 << 16
         assert "effort budget 65536 exhausted" in str(err.value)
+
+    @pytest.mark.parametrize("budget", [64, DEFAULT_BUDGET])
+    def test_accuracy_at_the_budget_is_refused_before_trisecting(self, budget):
+        # approx(p) asks the term p + 2, about 1.7 trisection steps per
+        # bit: at p = budget it is refused before f is ever called.  f
+        # stops a trisection that starts anyway, so the test cannot hang.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 100:
+                raise AssertionError("trisecting a term past the budget")
+            return x - Fraction(1, 2)
+
+        start = time.perf_counter()
+        with effort_budget(budget), pytest.raises(EffortExhausted) as err:
+            ivt_trisect(f, 0, 1).approx(budget)
+        assert time.perf_counter() - start < 1
+        assert calls == []
+        assert err.value.budget == budget
 
 
 class TestHeron:
@@ -443,6 +463,12 @@ class TestComplexSqrt:
         iv = w.re.approx(100)
         assert in_interval(iv, Fraction(0)) and iv.width() <= Dyadic(1, -100)
         assert in_interval(w.im.approx(100), Fraction(0))
+
+    def test_branch_point_answers_at_the_budget(self):
+        # the exact zero term needs no effort, so p = budget answers
+        with effort_budget(64):
+            iv = csqrt(Complex(0, 0)).re.approx(64)
+        assert in_interval(iv, Fraction(0)) and iv.width_at_most(64)
 
     def test_total_near_branch_point(self):
         tiny = Fraction(1, 1 << 40)

@@ -500,6 +500,19 @@ def test_python_m_exactreal_usage_error_exits_1():
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_python_m_exactreal_ivt_at_the_budget_exits_2_at_once():
+    # 315,652 digits need 1,048,598 bits, the budget itself: the term
+    # two bits past it is refused before any trisection step
+    start = time.perf_counter()
+    proc = run_module(
+        "ivt", "x-0.5", "0", "1", "--digits", "315652", "--budget", "1048598"
+    )
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 2
+    assert "effort budget 1048598 exhausted" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_python_m_exactreal_invalid_bracket_exits_1():
     proc = run_module("ivt", "x", "0-1", "1")
     assert proc.returncode == 1

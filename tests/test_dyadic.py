@@ -1,16 +1,24 @@
 """Dyadic arithmetic against a big-rational oracle."""
 
+import operator
 import random
 import time
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from exactreal import dyadic as dyadic_module
-from exactreal.dyadic import ZERO, Dyadic, decimal_string, div_directed, isqrt_rem
+from exactreal.dyadic import (
+    ZERO,
+    Dyadic,
+    decimal_string,
+    div_directed,
+    isqrt_rem,
+    scaled_quotient,
+)
 from exactreal.errors import ExponentOverflow
 
 dyadics = st.builds(
@@ -123,6 +131,54 @@ class TestArithmetic:
         assert 1 - Dyadic(1, -2) == Dyadic(3, -2)
 
 
+# every operator that takes a second operand, with its rational oracle
+BINARY_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "==": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+class TestOperandRule:
+    """One rule for every operator: an int operand is taken exactly, on
+    either side, and any other type is refused."""
+
+    @pytest.mark.parametrize("op", BINARY_OPERATORS.values(), ids=BINARY_OPERATORS)
+    @given(dyadics, st.integers(min_value=-(1 << 70), max_value=1 << 70))
+    def test_int_operand_is_exact(self, op, d, n):
+        for result, exact in (
+            (op(d, n), op(d.to_fraction(), n)),
+            (op(n, d), op(n, d.to_fraction())),
+        ):
+            if isinstance(exact, bool):
+                assert result is exact
+            else:
+                assert type(result) is Dyadic and result.to_fraction() == exact
+
+    @pytest.mark.parametrize(
+        "op",
+        [op for name, op in BINARY_OPERATORS.items() if name != "=="],
+        ids=[name for name in BINARY_OPERATORS if name != "=="],
+    )
+    @pytest.mark.parametrize("other", [0.5, Fraction(1, 2), "1"], ids=repr)
+    def test_other_operand_types_raise(self, op, other):
+        with pytest.raises(TypeError):
+            op(Dyadic(1, -1), other)
+        with pytest.raises(TypeError):
+            op(other, Dyadic(1, -1))
+
+    @pytest.mark.parametrize("other", [0.5, Fraction(1, 2), "1"], ids=repr)
+    def test_other_operand_types_are_unequal(self, other):
+        # even an equal float or Fraction: equality is not a conversion
+        assert not Dyadic(1, -1) == other and Dyadic(1, -1) != other
+        assert not other == Dyadic(1, -1) and other != Dyadic(1, -1)
+
+
 class TestRounding:
     def test_examples(self):
         # 2.25 rounded to 2 bits of precision
@@ -210,6 +266,31 @@ class TestDirectedDivision:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             div_directed(Dyadic(1), ZERO, 10, up=False)
+
+
+class TestScaledQuotient:
+    """``scaled_quotient`` is the exact floor or ceiling of n * 2**s / d."""
+
+    @given(
+        st.integers(min_value=-(1 << 80), max_value=1 << 80),
+        st.one_of(
+            st.sampled_from((1, -1)),
+            st.integers(min_value=-(1 << 40), max_value=1 << 40).filter(bool),
+        ),
+        st.integers(min_value=-100, max_value=100),
+    )
+    def test_floor_and_ceiling(self, n, d, s):
+        exact = Fraction(n, d) * Fraction(2) ** s
+        assert scaled_quotient(n, d, s, up=False) == floor(exact)
+        assert scaled_quotient(n, d, s, up=True) == ceil(exact)
+
+    @pytest.mark.parametrize("d", [1, -1, 3, -3])
+    @pytest.mark.parametrize("s", [-3, 0, 3])
+    @pytest.mark.parametrize("n", [-13, -8, 0, 8, 13])
+    def test_signs_and_exact_cases(self, n, d, s):
+        exact = Fraction(n, d) * Fraction(2) ** s
+        assert scaled_quotient(n, d, s, up=False) == floor(exact)
+        assert scaled_quotient(n, d, s, up=True) == ceil(exact)
 
 
 def root_and_remainder(m):

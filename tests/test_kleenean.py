@@ -12,7 +12,7 @@ from exactreal.kleenean import (
     Kleenean,
     DEFAULT_BUDGET,
     LazyKleenean,
-    _effort_schedule,
+    _select_with_effort,
     current_budget,
     effort_budget,
     select,
@@ -171,8 +171,17 @@ class TestSelect:
         assert select(staged(7, TRUE), LazyKleenean.const(TRUE)) is Branch.RIGHT
 
     def test_effort_schedule_doubles_its_step(self):
-        assert list(_effort_schedule(100, 0)) == [0, 1, 3, 7, 15, 31, 63, 100]
-        assert list(_effort_schedule(10, 5)) == [5, 6, 8, 10]
+        """The efforts at which select queries a never-true candidate."""
+
+        def efforts(budget, start):
+            asked = []
+            never = LazyKleenean(lambda n: asked.append(n) or BOTTOM)
+            with effort_budget(budget), pytest.raises(EffortExhausted):
+                _select_with_effort((never,), start)
+            return asked
+
+        assert efforts(100, 0) == [0, 1, 3, 7, 15, 31, 63, 100]
+        assert efforts(10, 5) == [5, 6, 8, 10]
 
     def test_select_index_many(self):
         idx = select_index(
