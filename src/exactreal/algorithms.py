@@ -123,17 +123,19 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
     trisection point a1 < b1 by certifying g(a1) < 0 or 0 < g(b1), so
     the uncomputable comparison of g against 0 is never needed; the
     bracket shrinks by 2/3 per step.  Endpoints are exact rationals.
-    Term n takes about 1.7 n steps, so an n above the effort budget
-    raises ``EffortExhausted`` before the first.
+    Term n takes about 1.7 (n + log2(b - a)) steps; when n plus the bits
+    of b - a exceed the budget, ``EffortExhausted`` comes before any step.
     """
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("invalid bracket: need a < b")
 
     def step(n: int, mid: CReal, hint):
-        if n > current_budget():
-            raise EffortExhausted(current_budget(), f"trisecting to {n} bits")
         a, b, effort, sign = hint
+        # a bracket about 2**w wide takes about 1.7 w steps more than one 1 wide
+        width_bits = (b - a).numerator.bit_length() - (b - a).denominator.bit_length()
+        if n + max(0, width_bits) > current_budget():
+            raise EffortExhausted(current_budget(), f"trisecting to {n} bits")
         if sign is None:
             fa, fb = f(CReal.from_fraction(a)), f(CReal.from_fraction(b))
             rising = less_than(fa, ZERO_REAL) & less_than(ZERO_REAL, fb)

@@ -12,7 +12,7 @@ from .algorithms import Complex, ivt_trisect, real_max, real_pi, real_sqrt
 from .creal import CReal, bits_for_digits, to_decimal
 from .dyadic import Dyadic
 from .errors import EffortExhausted, ParseError
-from .expr import evaluate, parse
+from .expr import decimal, evaluate, parse
 from .kleenean import DEFAULT_BUDGET, effort_budget
 
 
@@ -56,12 +56,13 @@ def _cmd_eval(args) -> int:
 
 
 def _bracket(a: str, b: str) -> tuple[Fraction, Fraction]:
+    """Both ends in the expression grammar's literal form, -?digits[.digits]."""
     try:
-        lo, hi = Fraction(a), Fraction(b)
-    except (ValueError, ZeroDivisionError):
+        lo, hi = decimal(a), decimal(b)
+    except ParseError:
         lo = hi = None
     if lo is None or not lo < hi:
-        raise SystemExit(f"invalid bracket: {a!r} {b!r}: need two numbers a < b")
+        raise SystemExit(f"invalid bracket: {a!r} {b!r}: need two decimals a < b")
     return lo, hi
 
 

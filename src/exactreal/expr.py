@@ -9,20 +9,11 @@ division per precision, so "0.1" stays exactly one tenth.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
-from .algorithms import (
-    Complex,
-    csqrt,
-    real_abs,
-    real_max,
-    real_pi,
-    real_sqrt,
-)
+from .algorithms import Complex, csqrt, real_abs, real_max, real_pi, real_sqrt
 from .creal import CReal
 from .errors import ParseError
 
@@ -33,57 +24,58 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
 class Call:
     name: str
     args: tuple
     pos: int = field(default=0, compare=False)
 
 
-Expr = Union[Num, Var, Const, BinOp, Neg, Call]
-
-_FUNCTIONS = {"max": 2, "abs": 1, "sqrt": 1, "csqrt": 2}
+# name -> (arity, operation) of every Call, "-x" too: Call("neg", (Call("x", ()),)).
+# Each operation is a lambda that looks its function up in this module's
+# globals when it runs, so a wrapper bound to the name later (a profiler's)
+# sees every call.  ``x`` is bound by ``evaluate``'s ``env``, not here.
+_OPERATIONS = {
+    "+": (2, lambda a, b: a + b),
+    "-": (2, lambda a, b: a - b),
+    "*": (2, lambda a, b: a * b),
+    "/": (2, lambda a, b: a / b),
+    "neg": (1, lambda a: -a),
+    "max": (2, lambda a, b: real_max(a, b)),
+    "abs": (1, lambda a: real_abs(a)),
+    "sqrt": (1, lambda a: real_sqrt(a)),
+    "csqrt": (2, lambda re, im: csqrt(Complex(re, im))),
+    "pi": (0, lambda: real_pi()),
+    "x": (0, None),
+}
+# the operations that take Complex operands; a real operand is promoted
+_COMPLEX = {"+", "-", "*", "neg"}
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-_CONSTANTS = {"pi"}
 
+_DECIMAL = r"\d+(?:\.\d+)?"
+_LITERAL = re.compile(rf"-?{_DECIMAL}")
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/(),]))"
+    rf"\s*(?:(?P<num>{_DECIMAL})|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/(),])|(?P<bad>\S))?"
 )
+
+
+def decimal(text: str, pos: int = 0) -> Fraction:
+    """The exact value of a signed literal of the grammar, -?digits[.digits]."""
+    if not _LITERAL.fullmatch(text):
+        raise ParseError(f"not a decimal literal: {text!r}", pos)
+    whole, _, frac = text.partition(".")
+    try:
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    except ValueError:
+        # past the interpreter's 4,300-digit limit on str-to-int
+        raise ParseError("numeric literal has too many digits", pos) from None
 
 
 def _tokenize(src: str):
     tokens = []
     pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            if src[pos:].strip():
-                raise ParseError(f"unexpected character {src[pos]!r}", pos)
-            break
-        kind = m.lastgroup
+    while kind := (m := _TOKEN.match(src, pos)).lastgroup:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(src)))
@@ -92,12 +84,8 @@ def _tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
 
     def next(self):
         tok = self.tokens[self.i]
@@ -109,57 +97,39 @@ class _Parser:
         if kind != "op" or text != symbol:
             raise ParseError(f"expected {symbol!r}", pos)
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r}", pos)
-        return e
-
-    def expr(self, level: int = 1) -> Expr:
+    def expr(self, level: int = 1) -> Num | Call:
         """Precedence climbing: operators binding at ``level`` or tighter
         associate to the left."""
         left = self.atom()
         while True:
-            kind, text, pos = self.peek()
-            prec = _PRECEDENCE.get(text, 0) if kind == "op" else 0
+            _, text, pos = self.tokens[self.i]
+            prec = _PRECEDENCE.get(text, 0)
             if prec < level:
                 return left
-            self.next()
-            left = BinOp(text, left, self.expr(prec + 1), pos)
+            self.i += 1
+            left = Call(text, (left, self.expr(prec + 1)), pos)
 
-    def atom(self) -> Expr:
+    def atom(self) -> Num | Call:
         kind, text, pos = self.next()
         if kind == "op" and text == "-":
-            return Neg(self.atom())
+            return Call("neg", (self.atom(),), pos)
         if kind == "num":
-            try:
-                return Num(Fraction(text))
-            except ValueError:
-                # past the interpreter's 4,300-digit limit on str-to-int
-                raise ParseError("numeric literal has too many digits", pos) from None
+            return Num(decimal(text, pos))
         if kind == "ident":
-            if text in _CONSTANTS:
-                return Const(text)
-            if text in _FUNCTIONS:
+            if text not in _OPERATIONS or text == "neg":
+                raise ParseError(f"unknown name {text!r}", pos)
+            arity = _OPERATIONS[text][0]
+            args = []
+            if arity:  # pi and x take no parentheses
                 self.expect_op("(")
-                args = [self.expr()]
-                while True:
-                    k, t, p = self.peek()
-                    if k == "op" and t == ",":
-                        self.next()
-                        args.append(self.expr())
-                    else:
-                        break
+                args.append(self.expr())
+                while self.tokens[self.i][1] == ",":
+                    self.i += 1
+                    args.append(self.expr())
                 self.expect_op(")")
-                if len(args) != _FUNCTIONS[text]:
-                    raise ParseError(
-                        f"{text} takes {_FUNCTIONS[text]} argument(s)", pos
-                    )
-                return Call(text, tuple(args), pos)
-            if text == "x":
-                return Var("x", pos)
-            raise ParseError(f"unknown name {text!r}", pos)
+            if len(args) != arity:
+                raise ParseError(f"{text} takes {arity} argument(s)", pos)
+            return Call(text, tuple(args), pos)
         if kind == "op" and text == "(":
             e = self.expr()
             self.expect_op(")")
@@ -167,56 +137,34 @@ class _Parser:
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
 
-def parse(src: str) -> Expr:
-    return _Parser(src).parse()
+def parse(src: str) -> Num | Call:
+    parser = _Parser(src)
+    e = parser.expr()
+    kind, text, pos = parser.next()
+    if kind != "end":
+        raise ParseError(f"unexpected {text!r}", pos)
+    return e
 
 
-_ARITHMETIC = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
-
-
-def evaluate(e: Expr, env=None):
+def evaluate(e: Num | Call, env=None):
     """Evaluate to a CReal (or Complex for csqrt results)."""
     env = env or {}
 
     def go(node):
         if isinstance(node, Num):
             return CReal.from_fraction(node.value)
-        if isinstance(node, Var):
-            if node.name not in env:
-                raise ParseError(f"unbound variable {node.name!r}", node.pos)
-            return env[node.name]
-        if isinstance(node, Const):
-            return real_pi()
-        if isinstance(node, Neg):
-            return -go(node.operand)
-        if isinstance(node, BinOp):
-            left = go(node.left)
-            right = go(node.right)
-            if isinstance(left, Complex) or isinstance(right, Complex):
-                if node.op == "/":
-                    raise ParseError("complex division is not supported", node.pos)
-                left = left if isinstance(left, Complex) else Complex(left, 0)
-                right = right if isinstance(right, Complex) else Complex(right, 0)
-            return _ARITHMETIC[node.op](left, right)
-        if isinstance(node, Call):
-            args = [go(a) for a in node.args]
-            if any(isinstance(a, Complex) for a in args):
-                raise ParseError(
-                    f"{node.name} does not accept complex arguments", node.pos
-                )
-            if node.name == "max":
-                return real_max(args[0], args[1])
-            if node.name == "abs":
-                return real_abs(args[0])
-            if node.name == "sqrt":
-                return real_sqrt(args[0])
-            if node.name == "csqrt":
-                return csqrt(Complex(args[0], args[1]))
-        raise TypeError(f"not an expression: {node!r}")
+        name = node.name
+        if name == "x":
+            if name not in env:
+                raise ParseError(f"unbound variable {name!r}", node.pos)
+            return env[name]
+        args = []  # a loop, not a comprehension: no frame per level
+        for arg in node.args:
+            args.append(go(arg))
+        if any(isinstance(a, Complex) for a in args):
+            if name not in _COMPLEX:
+                raise ParseError(f"{name} does not accept complex arguments", node.pos)
+            args = [a if isinstance(a, Complex) else Complex(a, 0) for a in args]
+        return _OPERATIONS[name][1](*args)
 
     return go(e)

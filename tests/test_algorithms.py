@@ -181,6 +181,35 @@ class TestTrisection:
         assert err.value.budget == budget
 
 
+    def test_wide_bracket_is_refused_before_trisecting(self):
+        # 10**999999 is about 2**3321925: the steps that would narrow the
+        # bracket to 1 alone are past the default budget
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 100:
+                raise AssertionError("trisecting a bracket past the budget")
+            return x - Fraction(1, 2)
+
+        start = time.perf_counter()
+        with pytest.raises(EffortExhausted):
+            ivt_trisect(f, 0, 10**999999).approx(19)
+        assert time.perf_counter() - start < 1
+        assert calls == []
+
+    def test_bracket_width_counts_against_the_budget(self):
+        # [0, 2**40] at budget 64: term 22 + 40 bits of width is within it,
+        # term 26 + 40 is not
+        def root():
+            return ivt_trisect(lambda x: x - Fraction(1, 2), 0, 1 << 40)
+
+        with effort_budget(64):
+            assert in_interval(root().approx(20), Fraction(1, 2))
+            with pytest.raises(EffortExhausted):
+                root().approx(24)
+
+
 class TestHeron:
     def test_base_case(self):
         for x in (Fraction(1, 4), Fraction(1), Fraction(2)):

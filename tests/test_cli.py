@@ -10,42 +10,44 @@ from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactreal.cli import main
 from exactreal.creal import bits_for_digits, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted, ParseError
-from exactreal.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, parse
+from exactreal.expr import Call, Num, evaluate, parse
 from exactreal.interval import Interval
 from exactreal import algorithms, cli
 from exactreal.kleenean import DEFAULT_BUDGET, LazyKleenean, current_budget, effort_budget
 
 
+def num(value) -> Num:
+    return Num(Fraction(value))
+
+
+X, PI = Call("x", ()), Call("pi", ())
+
+
 class TestParse:
     def test_benchmark_formula(self):
         ast = parse("max(0, pi - pi)")
-        assert ast == Call("max", (Num(Fraction(0)), BinOp("-", Const("pi"), Const("pi"))))
+        assert ast == Call("max", (num(0), Call("-", (PI, PI))))
 
     def test_quadratic_formula(self):
         ast = parse("x*(2-x)-0.5")
-        assert ast == BinOp(
-            "-",
-            BinOp("*", Var("x"), BinOp("-", Num(Fraction(2)), Var("x"))),
-            Num(Fraction(1, 2)),
+        assert ast == Call(
+            "-", (Call("*", (X, Call("-", (num(2), X)))), num(Fraction(1, 2)))
         )
 
     def test_precedence_and_unary_minus(self):
-        assert parse("1+2*3") == BinOp(
-            "+", Num(Fraction(1)), BinOp("*", Num(Fraction(2)), Num(Fraction(3)))
+        assert parse("1+2*3") == Call("+", (num(1), Call("*", (num(2), num(3)))))
+        assert parse("-x/2") == Call("/", (Call("neg", (X,)), num(2)))
+        assert parse("2*-3") == Call("*", (num(2), Call("neg", (num(3),))))
+        assert parse("-(1+2)*3") == Call(
+            "*", (Call("neg", (Call("+", (num(1), num(2))),)), num(3))
         )
-        assert parse("-x/2") == BinOp("/", Neg(Var("x")), Num(Fraction(2)))
-        assert parse("2*-3") == BinOp("*", Num(Fraction(2)), Neg(Num(Fraction(3))))
-        assert parse("-(1+2)*3") == BinOp(
-            "*",
-            Neg(BinOp("+", Num(Fraction(1)), Num(Fraction(2)))),
-            Num(Fraction(3)),
-        )
-        assert parse("--2") == Neg(Neg(Num(Fraction(2))))
+        assert parse("--2") == Call("neg", (Call("neg", (num(2),)),))
 
     def test_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -57,6 +59,111 @@ class TestParse:
         for src in ("max(1)", "foo(1)", "(1", "1 $ 2", "sqrt 2"):
             with pytest.raises(ParseError):
                 parse(src)
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("", "unexpected 'end of input' (column 1)"),
+            ("-", "unexpected 'end of input' (column 2)"),
+            ("max(1,2,)", "unexpected ')' (column 9)"),
+            ("sqrt()", "unexpected ')' (column 6)"),
+            ("1 2", "unexpected '2' (column 3)"),
+            ("x(1)", "unexpected '(' (column 2)"),
+            ("pi()", "unexpected '(' (column 3)"),
+            ("max(1 2)", "expected ')' (column 7)"),
+            ("1..2", "unexpected character '.' (column 2)"),
+            (".5", "unexpected character '.' (column 1)"),
+            ("1 $ 2", "unexpected character '$' (column 3)"),
+            ("sqrt(2", "expected ')' (column 7)"),
+            ("abs(,1)", "unexpected ',' (column 5)"),
+            ("max", "expected '(' (column 4)"),
+            ("foo(1)", "unknown name 'foo' (column 1)"),
+            ("neg(1)", "unknown name 'neg' (column 1)"),
+            ("max(1)", "max takes 2 argument(s) (column 1)"),
+            ("csqrt(csqrt(0,1),1)", "csqrt does not accept complex arguments (column 1)"),
+            ("csqrt(1,2)/2", "/ does not accept complex arguments (column 11)"),
+            ("1+x", "unbound variable 'x' (column 3)"),
+            ("1" * 5000, "numeric literal has too many digits (column 1)"),
+            ("2*0." + "1" * 5000, "numeric literal has too many digits (column 3)"),
+        ],
+    )
+    def test_error_message_and_column(self, src, message):
+        with pytest.raises(ParseError) as err:
+            evaluate(parse(src))
+        assert str(err.value) == message
+
+
+# Random trees over every operation but x's binding, and their source text
+# with the fewest parentheses the grammar needs and with a pair around
+# every operator.
+_LITERALS = st.builds(
+    lambda n, k: num(Fraction(n, 10**k)), st.integers(0, 10**7), st.integers(0, 4)
+)
+_TREES = st.recursive(
+    st.one_of(_LITERALS, st.just(X), st.just(PI)),
+    lambda children: st.one_of(
+        st.builds(
+            lambda op, a, b: Call(op, (a, b)), st.sampled_from("+-*/"), children, children
+        ),
+        st.builds(
+            lambda name, a: Call(name, (a,)), st.sampled_from(["neg", "abs", "sqrt"]), children
+        ),
+        st.builds(
+            lambda name, a, b: Call(name, (a, b)),
+            st.sampled_from(["max", "csqrt"]),
+            children,
+            children,
+        ),
+    ),
+    max_leaves=12,
+)
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _level(node) -> int:
+    """How tightly a node's text binds: anything but + - * / is an atom."""
+    return _LEVEL.get(node.name, 3) if isinstance(node, Call) else 3
+
+
+def _literal(value: Fraction) -> str:
+    frac = 0
+    while value.denominator != 1:
+        value *= 10
+        frac += 1
+    digits = str(value.numerator).rjust(frac + 1, "0")
+    return f"{digits[:-frac]}.{digits[-frac:]}" if frac else digits
+
+
+def _render(node, full: bool) -> str:
+    """Source text of a tree: with a pair of parentheses around every
+    operator when ``full``, else only where precedence or the left
+    associativity of + - * / needs one."""
+    if isinstance(node, Num):
+        return _literal(node.value)
+    if not node.args:
+        return node.name
+    args = [_render(a, full) for a in node.args]
+    if node.name == "neg":
+        if full:
+            return f"(-{args[0]})"
+        return f"-({args[0]})" if _level(node.args[0]) < 3 else f"-{args[0]}"
+    if node.name not in _LEVEL:
+        return f"{node.name}({', '.join(args)})"
+    if full:
+        return f"({args[0]} {node.name} {args[1]})"
+    level = _LEVEL[node.name]
+    # the right operand needs a pair at the operator's own level too
+    for i, child in enumerate(node.args):
+        if _level(child) < level + i:
+            args[i] = f"({args[i]})"
+    return f"{args[0]} {node.name} {args[1]}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_rendered_tree_parses_back(tree):
+    assert parse(_render(tree, full=False)) == tree
+    assert parse(_render(tree, full=True)) == tree
 
 
 class TestEvaluate:
@@ -391,9 +498,18 @@ class TestCli:
         assert isinstance(message, str) and "\n" not in message
         return message
 
-    @pytest.mark.parametrize("a,b", [("0-1", "1"), ("abc", "1"), ("1", "0")])
+    @pytest.mark.parametrize(
+        "a,b",
+        [("0-1", "1"), ("abc", "1"), ("1", "0"), ("1/3", "1"), ("0", "1e3"), ("0", "1."),
+         ("+0", "1"), ("0", "1" * 5000)],
+    )
     def test_ivt_invalid_bracket_exits_1(self, a, b):
         assert self.rejected("ivt", "x", a, b).startswith("invalid bracket: ")
+
+    def test_ivt_signed_decimal_bracket(self, capsys):
+        code, out, _ = self.run(capsys, "ivt", "x+0.25", "-1.5", "0.75", "--digits", "5")
+        assert code == 0
+        assert out == "-0.25000\n"
 
     def test_bench_negative_bits_rejected(self):
         message = self.rejected("bench", "--seed-row", "sqrt2", "--bits", "-3")
@@ -518,3 +634,13 @@ def test_python_m_exactreal_invalid_bracket_exits_1():
     assert proc.returncode == 1
     assert proc.stderr.startswith("invalid bracket: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_python_m_exactreal_wide_bracket_exits_1_at_once():
+    # an exponent form is not a decimal of the grammar; as a Fraction,
+    # 1e999999 alone took seconds and the trisection ran without end
+    start = time.perf_counter()
+    proc = run_module("ivt", "x-0.5", "0", "1e999999", "--digits", "5")
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 1
+    assert proc.stderr == "invalid bracket: '0' '1e999999': need two decimals a < b\n"
