@@ -85,15 +85,16 @@ def _pi_interval(p: int) -> Interval:
     - s = T/Q is within 2A 2**-41 of A, so s > 2**23, and
       eps = e/Q <= 2**(25-41n) + 1/Q < 2 < s: T - e > 0.
     - r = floor(sqrt(10005 4**g)), exact from ``isqrt_rem``, so
-      r <= sqrt(10005) 2**g < r + 1, and pi 2**g
-      lies in (426880 r Q/(T+e), 426880 (r+1) Q/(T-e)); lo floors the
-      first bound and hi ceils the second.
-    - hi - lo < X + 2 with X = 426880 (s + eps (1+2r)) / (s**2 - eps**2)
-      < 2**-4 (1 + eps (1+2r)/s) (1 + 2**-43), as 426880/s < 2**-4.
-      With 1 + 2r < 2**(g+8) and Q >= (640320**3/24)**(n-1) >
-      2**(53(n-1)), eps (1+2r)/s < 2**(g+10-41n) + 2**(g-15-53(n-1))
-      <= 2**-21 + 2**-5.  So X < 1, hi - lo <= 2 and the width is at
-      most 2**(1-g) < 2**-p.
+      r <= sqrt(10005) 2**g < r + 1, and pi 2**g lies in
+      (426880 r Q/(T+e), 426880 (r+1) Q/(T-e)); lo floors the first.
+    - The second exceeds the first, which is below lo + 1, by X =
+      426880 (s + eps (1+2r)) / (s**2 - eps**2) < 2**-4 (1 + eps
+      (1+2r)/s) (1 + 2**-43), as 426880/s < 2**-4.  With 1 + 2r <
+      2**(g+8) and Q >= (640320**3/24)**(n-1) > 2**(53(n-1)),
+      eps (1+2r)/s < 2**(g+10-41n) + 2**(g-15-53(n-1)) <= 2**-21 +
+      2**-5, so X < 1 and pi 2**g < 426880 (r+1) Q/(T-e) < lo + 1 + X
+      < lo + 2.  So lo + 2 is an upper end that takes no division, and
+      the width is 2**(1-g) < 2**-p.
 
     No rounding happens inside the sum, so no guard bits grow with n.
     """
@@ -103,8 +104,7 @@ def _pi_interval(p: int) -> Interval:
     e = (q >> (41 * n - 25)) + 1
     r, _ = isqrt_rem(10005 << 2 * g)
     lo = scaled_quotient(426880 * r * q, t + e, 0, up=False)
-    hi = scaled_quotient(426880 * (r + 1) * q, t - e, 0, up=True)
-    return from_ints(lo, hi, -g)
+    return from_ints(lo, lo + 2, -g)
 
 
 def real_pi() -> CReal:
@@ -160,7 +160,7 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
                 b = b1
         return CReal.from_fraction((a + b) / 2), (a, b, effort, sign)
 
-    return limit_refine(CReal.from_fraction((a + b) / 2), (a, b, 0, None), step)
+    return limit_refine(ZERO_REAL, (a, b, 0, None), step)
 
 
 # -- real square root --------------------------------------------------

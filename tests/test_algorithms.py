@@ -76,10 +76,14 @@ PI_ACCURACIES = sorted(
     | {41 * k - 32 + d for k in range(1, 101) for d in (-1, 0)}
     | {2**k + d for k in range(9, 13) for d in (-1, 1)}
 )
+# sizes where the upper end lo + 2 rests on the docstring's bound on X
+# rather than on a scan: the first accuracy of a term count near 400
+# and two past 2**16
+LARGE_PI_ACCURACIES = [2**14 - 1, 2**14 + 1, 41 * 400 - 32, 2**17 + 1, 100_000]
 
 
 class TestPi:
-    @pytest.mark.parametrize("p", PI_ACCURACIES)
+    @pytest.mark.parametrize("p", PI_ACCURACIES + LARGE_PI_ACCURACIES)
     def test_interval_contains_pi_and_is_narrow(self, p):
         mpmath.mp.prec = p + 64
         man, exp = (+mpmath.pi).man_exp
@@ -89,6 +93,26 @@ class TestPi:
         assert iv.lo.to_fraction() <= oracle - slack
         assert oracle + slack <= iv.hi.to_fraction()
         assert iv.width() <= Dyadic(1, -p)
+
+    @pytest.mark.parametrize("p", [0, 600, 2**14 + 1])
+    def test_one_division_and_one_root_per_accuracy(self, monkeypatch, p):
+        # the upper end is lo + 2, from the docstring's bound: not divided
+        calls = []
+
+        def counted(name):
+            original = getattr(algorithms_module, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(algorithms_module, name, call)
+
+        counted("scaled_quotient")
+        counted("isqrt_rem")
+        iv = algorithms_module._pi_interval(p)
+        assert sorted(calls) == ["isqrt_rem", "scaled_quotient"]
+        assert iv.b - iv.a == 2 and iv.e == -(p + 2)
 
     def test_ten_digits(self):
         assert to_decimal(real_pi(), 10) in ("3.1415926535", "3.1415926536")

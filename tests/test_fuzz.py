@@ -1,18 +1,25 @@
-"""Fuzzing ``exactreal eval`` with random expressions.
+"""Fuzzing ``exactreal eval`` and ``exactreal ivt`` with random input.
 
-Every expression must end in exit code 0, 1 or 2 with at most one line
-on stderr and no escaping exception.  A real result built from short
-literals must also be within ``10**-digits`` of mpmath.
+Every run must end in exit code 0, 1 or 2 with at most one line on
+stderr and no escaping exception.  A real result built from short
+literals must also be within ``10**-digits`` of mpmath, or of
+``decimal`` at 1,000 to 5,000 digits, and a root found by ``ivt`` within
+``10**-digits`` of a root of odd multiplicity inside the bracket.
 """
 
 import contextlib
 import io
 import operator
+import sys
+from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import mpmath
 from hypothesis import given, settings, strategies as st
 
 from exactreal import cli
+from exactreal.creal import bits_for_digits
 
 short_literals = st.one_of(
     st.integers(0, 999).map(str),
@@ -27,11 +34,8 @@ long_literals = st.builds(
 )
 tiny_literals = st.integers(1, 30).map(lambda n: "0." + "0" * n + "1")
 
-leaves = st.one_of(
-    short_literals.map(lambda text: ("num", text)),
-    st.just(("pi",)),
-    long_literals.map(lambda text: ("long", text)),
-)
+short_leaves = st.one_of(short_literals.map(lambda text: ("num", text)), st.just(("pi",)))
+leaves = st.one_of(short_leaves, long_literals.map(lambda text: ("long", text)))
 
 
 def _extend(children):
@@ -52,6 +56,8 @@ def _extend(children):
 
 
 expressions = st.recursive(leaves, _extend, max_leaves=8)
+# the same grammar without the literals near the 4,300-digit limit
+short_expressions = st.recursive(short_leaves, _extend, max_leaves=8)
 
 
 def render(t) -> str:
@@ -101,11 +107,24 @@ def mp_value(t):
     return mpmath.sqrt(max(values[0], 0))
 
 
-def run_eval(expr: str, digits: int):
+def run_cli(argv):
+    """``cli.main`` in-process: (exit code, stdout, stderr).  A usage
+    error's ``SystemExit`` with a message is exit 1 with that message on
+    stderr, as the interpreter would print it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["eval", "--digits", str(digits), "--budget", "4096", "--", expr])
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            if not isinstance(exc.code, str):
+                raise
+            print(exc.code, file=sys.stderr)
+            code = 1
     return code, out.getvalue(), err.getvalue()
+
+
+def run_eval(expr: str, digits: int):
+    return run_cli(["eval", "--digits", str(digits), "--budget", "4096", "--", expr])
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,3 +140,93 @@ def test_eval_ends_in_an_exit_code_and_one_line(tree, digits):
     with mpmath.workdps((digits + 150) * 2 ** sqrt_depth(tree)):
         error = abs(mpmath.mpf(out.strip()) - mp_value(tree))
         assert error <= mpmath.mpf(10) ** -digits
+
+
+# -- eval at 1,000 to 5,000 digits, against decimal ---------------------
+
+arithmetic = st.recursive(
+    short_literals.map(lambda text: ("num", text)),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: ("bin", *t)),
+        children.map(lambda c: ("sqrt", c)),
+    ),
+    max_leaves=5,
+)
+
+
+def decimal_value(t) -> Decimal:
+    kind, *args = t
+    if kind == "num":
+        return Decimal(args[0])
+    if kind == "bin":
+        return _MP_BINARY[args[0]](decimal_value(args[1]), decimal_value(args[2]))
+    # a radicand that is zero may round below it; a negative one exits 2
+    return max(decimal_value(args[0]), Decimal(0)).sqrt()
+
+
+@settings(max_examples=25, deadline=None)
+@given(arithmetic, st.integers(1000, 5000))
+def test_eval_at_thousands_of_digits_against_decimal(tree, digits):
+    # a square root of a hidden zero asks 2p + 8 bits: room for nesting
+    budget = 8 * bits_for_digits(digits)
+    argv = ["eval", "--digits", str(digits), "--budget", str(budget), "--", render(tree)]
+    code, out, err = run_cli(argv)
+    assert code in (0, 2)
+    assert len(err.splitlines()) <= 1
+    if code != 0:
+        return
+    # 40 more digits, doubled per nested square root as in the mpmath check
+    with localcontext() as ctx:
+        ctx.prec = (digits + 40) * 2 ** sqrt_depth(tree)
+        error = abs(Decimal(out.strip()) - decimal_value(tree))
+        assert error <= Decimal(10) ** -digits
+
+
+# -- ivt on products of linear factors ----------------------------------
+
+
+def decimal_text(k: int, places: int) -> str:
+    """k * 10**-places in the grammar's literal form."""
+    whole, frac = divmod(abs(k), 10**places)
+    return f"{'-' if k < 0 else ''}{whole}.{frac:0{places}d}"
+
+
+@st.composite
+def ivt_problems(draw):
+    """(c, [(k, m), ...], a, b): f = c * prod (x - k/100)**m with 1 to 3
+    roots of multiplicity 1 to 3, the first of them inside the bracket
+    [a/100, b/100]; c is in tenths."""
+    a, b = sorted(draw(st.lists(st.integers(-400, 400), min_size=2, max_size=2, unique=True)))
+    roots = draw(st.lists(st.integers(-400, 400), min_size=0, max_size=2))
+    roots = [draw(st.integers(a, b)), *roots]
+    multiplicities = draw(st.lists(st.integers(1, 3), min_size=len(roots), max_size=len(roots)))
+    c = draw(st.integers(-50, 50).filter(bool))
+    return c, list(zip(roots, multiplicities)), a, b
+
+
+def render_polynomial(c: int, roots) -> str:
+    factors = [decimal_text(c, 1)]
+    for k, m in roots:
+        sign = "+" if k < 0 else "-"
+        factors += [f"(x{sign}{decimal_text(abs(k), 2)})"] * m
+    return "*".join(factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ivt_problems(), st.integers(256, 1024), st.integers(1, 30))
+def test_ivt_lands_on_a_root_of_odd_multiplicity(problem, budget, digits):
+    c, roots, a, b = problem
+    argv = ["ivt", "--digits", str(digits), "--budget", str(budget), "--"]
+    argv += [render_polynomial(c, roots), decimal_text(a, 2), decimal_text(b, 2)]
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1
+    if code != 0:
+        return
+    value = Fraction(out.strip())
+    multiplicity = Counter()
+    for k, m in roots:
+        multiplicity[Fraction(k, 100)] += m
+    a, b = Fraction(a, 100), Fraction(b, 100)
+    odd_roots = [r for r, m in multiplicity.items() if m % 2 and a <= r <= b]
+    assert any(abs(value - r) <= Fraction(1, 10**digits) for r in odd_roots), out
