@@ -121,46 +121,48 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
 
     With g(a) < 0 < g(b), each step moves one bracket end to a
     trisection point a1 < b1 by certifying g(a1) < 0 or 0 < g(b1), so
-    the uncomputable comparison of g against 0 is never needed; the
-    bracket shrinks by 2/3 per step.  Endpoints are exact rationals.
-    Term n takes about 1.7 (n + log2(b - a)) steps; when n plus the bits
-    of b - a exceed the budget, ``EffortExhausted`` comes before any step.
+    the uncomputable comparison of g against 0 is never needed.  The
+    hint is the bracket as ints a < b over one denominator d, all three
+    grown 16-fold while b - a < 64; the points (a + t)/d and (b - t)/d,
+    t = (b - a)//3, are dyadic when the ends are.  Term n takes about
+    1.7 (n + log2((b - a)/d)) steps; when n plus the bits of that width
+    exceed the budget, ``EffortExhausted`` comes before any step.
     """
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("invalid bracket: need a < b")
 
-    def step(n: int, mid: CReal, hint):
-        a, b, effort, sign = hint
+    def point(m: int, d: int) -> CReal:
+        return CReal.from_fraction(Fraction(m, d))
+
+    def step(n: int, hint):
+        a, b, d, effort, sign = hint
         # a bracket about 2**w wide takes about 1.7 w steps more than one 1 wide
-        width_bits = (b - a).numerator.bit_length() - (b - a).denominator.bit_length()
-        if n + max(0, width_bits) > current_budget():
+        if n + max(0, (b - a).bit_length() - d.bit_length()) > current_budget():
             raise EffortExhausted(current_budget(), f"trisecting to {n} bits")
         if sign is None:
-            fa, fb = f(CReal.from_fraction(a)), f(CReal.from_fraction(b))
+            fa, fb = f(point(a, d)), f(point(b, d))
             rising = less_than(fa, ZERO_REAL) & less_than(ZERO_REAL, fb)
             falling = less_than(ZERO_REAL, fa) & less_than(fb, ZERO_REAL)
             sign = 1 if select(rising, falling) is Branch.LEFT else -1
         g = f if sign > 0 else (lambda x: -f(x))
-        target = Fraction(1, 1 << n)
-        while b - a > target:
-            a1 = (2 * a + b) / 3
-            b1 = (a + 2 * b) / 3
+        while (b - a) << n > d:
+            while b - a < 64:
+                a, b, d = a << 4, b << 4, d << 4
+            t = (b - a) // 3
+            ga, gb = g(point(a + t, d)), g(point(b - t, d))
             # certification effort grows smoothly with the step count
             winner, effort = _select_with_effort(
-                (
-                    less_than(g(CReal.from_fraction(a1)), ZERO_REAL),
-                    less_than(ZERO_REAL, g(CReal.from_fraction(b1))),
-                ),
-                max(0, effort - 1),
+                (less_than(ga, ZERO_REAL), less_than(ZERO_REAL, gb)), max(0, effort - 1)
             )
             if winner == 0:
-                a = a1
+                a += t
             else:
-                b = b1
-        return CReal.from_fraction((a + b) / 2), (a, b, effort, sign)
+                b -= t
+        return point(a + b, 2 * d), (a, b, d, effort, sign)
 
-    return limit_refine(ZERO_REAL, (a, b, 0, None), step)
+    d = a.denominator * b.denominator
+    return limit_refine((int(a * d), int(b * d), d, 0, None), step)
 
 
 # -- real square root --------------------------------------------------
@@ -292,7 +294,7 @@ def csqrt(z: Complex) -> Complex:
     zero = Complex(0, 0)
     nonzero = less_than(ZERO_REAL, nrm)
 
-    def step(n: int, w, pinned):
+    def step(n: int, pinned):
         if pinned is not None:
             return pinned, pinned
         small = less_than(nrm, CReal.from_dyadic(Dyadic(1, -2 * (n + 2))))
@@ -301,5 +303,5 @@ def csqrt(z: Complex) -> Complex:
         root = csqrt_nonzero(z)
         return root, root
 
-    term = refinement_terms(zero, None, step)
+    term = refinement_terms(None, step)
     return Complex(limit(lambda n: term(n).re), limit(lambda n: term(n).im))

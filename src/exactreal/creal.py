@@ -217,31 +217,29 @@ def limit(f: Callable[[int], CReal]) -> CReal:
     return CReal(fn)
 
 
-def refinement_terms(seed, seed_hint, step) -> Callable[[int], object]:
+def refinement_terms(hint, step) -> Callable[[int], object]:
     """Memoized terms of a self-refining nondeterministic sequence.
 
-    ``step(n, x, hint) -> (x_n, hint_n)`` runs once for each index n
-    asked for, and for no other, with the latest term and hint; the hint
+    ``step(n, hint) -> (x_n, hint_n)`` runs once for each index n asked
+    for, and for no other, with the latest hint: the whole state, which
     records the choices made, so later steps stay on one candidate.
     Each x_n lies within 2**-n of the limit, in any order of requests.
     """
     memo: dict[int, object] = {}
-    latest = (seed, seed_hint)
 
     def term(n: int):
-        nonlocal latest
+        nonlocal hint
         if n not in memo:
-            latest = step(n, *latest)
-            memo[n] = latest[0]
+            memo[n], hint = step(n, hint)
         return memo[n]
 
     return term
 
 
-def limit_refine(seed: CReal, seed_hint, step) -> CReal:
+def limit_refine(hint, step) -> CReal:
     """Limit of a self-refining nondeterministic sequence of reals; see
     ``refinement_terms`` for the contract of ``step``."""
-    return limit(refinement_terms(seed, seed_hint, step))
+    return limit(refinement_terms(hint, step))
 
 
 # -- rounding to integers and decimals ---------------------------------

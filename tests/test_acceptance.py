@@ -203,7 +203,7 @@ def test_07_csqrt_totality():
 def test_08_refinement_limit_is_one_candidate():
     """The 0-or-1 refinement commits: accuracy-5 interval excludes one."""
 
-    def step(n, x, hint):
+    def step(n, hint):
         if hint is None:
             br = select(LazyKleenean.const(TRUE), LazyKleenean.const(TRUE))
             value = 0 if br is Branch.LEFT else 1
@@ -213,7 +213,7 @@ def test_08_refinement_limit_is_one_candidate():
 
     ok = True
     for _ in range(5):
-        lim = limit_refine(CReal.from_fraction(Fraction(1, 2)), None, step)
+        lim = limit_refine(None, step)
         iv = lim.approx(5)
         contains_zero = in_interval(iv, Fraction(0))
         contains_one = in_interval(iv, Fraction(1))

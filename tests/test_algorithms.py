@@ -24,6 +24,7 @@ from exactreal.algorithms import (
 )
 from exactreal import (
     algorithms as algorithms_module,
+    creal as creal_module,
     dyadic as dyadic_module,
     interval as interval_module,
 )
@@ -32,6 +33,9 @@ from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted
 from exactreal.interval import Interval
 from exactreal.kleenean import DEFAULT_BUDGET, effort_budget
+
+
+THIRD = Fraction(1, 3)
 
 
 def in_interval(iv: Interval, value: Fraction) -> bool:
@@ -232,6 +236,52 @@ class TestTrisection:
             assert in_interval(root().approx(20), Fraction(1, 2))
             with pytest.raises(EffortExhausted):
                 root().approx(24)
+
+    def test_dyadic_bracket_makes_no_division(self, monkeypatch):
+        # on [0, 1] every point and term is an exact dyadic leaf: no
+        # rational point ever runs the floor division of from_fraction
+        divisions = []
+        for module in (creal_module, dyadic_module, interval_module):
+            def counted(n, d, s, up, inner=module.scaled_quotient):
+                if d != 1:
+                    divisions.append(d)
+                return inner(n, d, s, up)
+
+            monkeypatch.setattr(module, "scaled_quotient", counted)
+        root = ivt_trisect(lambda x: x - Fraction(1, 2), 0, 1)
+        assert in_interval(root.approx(200), Fraction(1, 2))
+        assert divisions == []
+
+    def test_select_count_at_1000_bits(self, monkeypatch):
+        # about 1.7 steps per bit; the 16-fold growth of the integer
+        # bracket costs a few steps over exact thirds (1,713)
+        calls = []
+        inner = algorithms_module._select_with_effort
+
+        def counted(candidates, start):
+            calls.append(start)
+            return inner(candidates, start)
+
+        monkeypatch.setattr(algorithms_module, "_select_with_effort", counted)
+        iv = ivt_trisect(lambda x: x - Fraction(1, 2), 0, 1).approx(1000)
+        assert in_interval(iv, Fraction(1, 2))
+        assert len(calls) <= 1730
+
+    @pytest.mark.parametrize(
+        "f,a,b,root,bits",
+        [
+            # a triple root and a kink at 1/3, which no trisection point hits
+            (lambda x: (x - THIRD) * (x - THIRD) * (x - THIRD), 0, 1, THIRD, 1000),
+            (lambda x: real_max((x - THIRD) * 2, (x - THIRD) / 8), 0, 1, THIRD, 1000),
+            # decimal ends over one denominator 100: most points are not dyadic
+            (lambda x: x - Fraction(3, 10), Fraction(1, 10), Fraction(7, 10), Fraction(3, 10), 300),
+        ],
+        ids=["triple-root", "kink", "decimal-bracket"],
+    )
+    def test_root_is_contained_and_narrow(self, f, a, b, root, bits):
+        iv = ivt_trisect(f, a, b).approx(bits)
+        assert in_interval(iv, root)
+        assert iv.width_at_most(bits)
 
 
 class TestHeron:

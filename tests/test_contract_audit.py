@@ -160,8 +160,13 @@ def test_csqrt_around_zero(audit, re, im):
         (lambda x: algorithms.real_sqrt(x) - Fraction(1, 2), 0, 1, Fraction(1, 4)),
         # decreasing, with a root that no trisection point hits
         (lambda x: Fraction(1, 3) - x * 7, -1, 1, Fraction(1, 21)),
+        # the root is a grid point: a step whose point is the root compares
+        # an exact zero forever there, so the other candidate must win
+        (lambda x: x - Fraction(1, 2), 0, 1, Fraction(1, 2)),
+        # decimal ends over one denominator: most points are not dyadic
+        (lambda x: x - Fraction(3, 10), Fraction(1, 10), Fraction(7, 10), Fraction(3, 10)),
     ],
-    ids=["increasing", "decreasing"],
+    ids=["increasing", "decreasing", "grid-root", "decimal-bracket"],
 )
 def test_ivt(audit, f, a, b, root):
     node = audit.expect(ivt_trisect(f, a, b), contains(root))

@@ -217,14 +217,13 @@ class TestLimit:
 class TestLimitRefine:
     def test_identity_step(self):
         c = CReal.from_fraction(Fraction(5, 7))
-        lim = limit_refine(c, None, lambda n, x, hint: (x, hint))
+        lim = limit_refine(c, lambda n, hint: (hint, hint))
         assert in_interval(lim.approx(40), Fraction(5, 7))
 
     def test_zero_or_one_commits(self):
-        # from a seed halfway between the candidates, the first step
-        # makes a nondeterministic choice and every later step repeats
-        # it; the limit must be one candidate, never a blend
-        def step(n, x, hint):
+        # the first step makes a nondeterministic choice and every later
+        # step repeats it; the limit must be one candidate, never a blend
+        def step(n, hint):
             if hint is None:
                 br = select(LazyKleenean.const(TRUE), LazyKleenean.const(TRUE))
                 value = 0 if br is Branch.LEFT else 1
@@ -232,7 +231,7 @@ class TestLimitRefine:
                 value = hint
             return CReal.from_int(value), value
 
-        lim = limit_refine(CReal.from_fraction(Fraction(1, 2)), None, step)
+        lim = limit_refine(None, step)
         iv = lim.approx(5)
         contains_zero = in_interval(iv, Fraction(0))
         contains_one = in_interval(iv, Fraction(1))
@@ -240,14 +239,14 @@ class TestLimitRefine:
 
     def test_step_runs_once_per_requested_index(self):
         # accuracy p asks for the single index p + 2; the indices in
-        # between are skipped, and the step sees the latest term and hint
+        # between are skipped, and the step sees the latest hint
         calls = []
 
-        def step(n, x, hint):
+        def step(n, hint):
             calls.append((n, hint))
             return CReal.from_dyadic(Dyadic(1, -n)), n
 
-        lim = limit_refine(CReal.from_int(1), "seed", step)
+        lim = limit_refine("seed", step)
         lim.approx(10)
         lim.approx(10)
         lim.approx(40)

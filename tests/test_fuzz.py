@@ -1,10 +1,12 @@
-"""Fuzzing ``exactreal eval`` and ``exactreal ivt`` with random input.
+"""Fuzzing ``exactreal eval``, ``exactreal ivt`` and ``exactreal bench``
+with random input.
 
 Every run must end in exit code 0, 1 or 2 with at most one line on
 stderr and no escaping exception.  A real result built from short
 literals must also be within ``10**-digits`` of mpmath, or of
 ``decimal`` at 1,000 to 5,000 digits, and a root found by ``ivt`` within
-``10**-digits`` of a root of odd multiplicity inside the bracket.
+``10**-digits`` of a root of odd multiplicity inside the bracket.  A
+``bench`` row is ok or exits 2, and never prints FAILED.
 """
 
 import contextlib
@@ -64,8 +66,8 @@ def render(t) -> str:
     kind, *args = t
     if kind in ("num", "long"):
         return args[0]
-    if kind == "pi":
-        return "pi"
+    if kind in ("pi", "x"):
+        return kind
     if kind == "neg":
         return "-" + render(args[0])
     if kind == "bin":
@@ -230,3 +232,46 @@ def test_ivt_lands_on_a_root_of_odd_multiplicity(problem, budget, digits):
     a, b = Fraction(a, 100), Fraction(b, 100)
     odd_roots = [r for r, m in multiplicity.items() if m % 2 and a <= r <= b]
     assert any(abs(value - r) <= Fraction(1, 10**digits) for r in odd_roots), out
+
+
+# -- ivt on random trees with x leaves ----------------------------------
+
+functions_of_x = st.recursive(st.one_of(st.just(("x",)), short_leaves), _extend, max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    functions_of_x,
+    st.lists(st.integers(-400, 400), min_size=3, max_size=3, unique=True).map(sorted),
+    st.booleans(),
+    st.integers(256, 1024),
+    st.integers(1, 30),
+)
+def test_ivt_on_trees_ends_in_an_exit_code_and_one_line(tree, ends, rooted, budget, digits):
+    # f = T(x), which may have no sign change, a pole or a complex value,
+    # each an exit 1 or 2 within the budget; or f = (x - c)(1 + |T(x)|),
+    # whose one zero in the bracket is c
+    a, c, b = (decimal_text(k, 2) for k in ends)
+    expr = f"(x-({c}))*(1+abs({render(tree)}))" if rooted else render(tree)
+    argv = ["ivt", "--digits", str(digits), "--budget", str(budget), "--", expr, a, b]
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1
+    if code == 0 and rooted:
+        assert abs(Fraction(out.strip()) - Fraction(c)) <= Fraction(1, 10**digits), out
+
+
+# -- bench rows at random sizes -----------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(list(cli._BENCH_ROWS)), st.integers(1, 1000), st.integers(256, 4096))
+def test_bench_row_is_ok_or_exhausted(row, bits, budget):
+    argv = ["bench", "--seed-row", row, "--bits", str(bits), "--budget", str(budget)]
+    code, out, err = run_cli(argv)
+    assert "FAILED" not in out
+    assert len(err.splitlines()) <= 1
+    if code == 0:
+        assert out.splitlines()[1].split()[-1] == "ok", out
+    else:
+        assert code == 2, err
