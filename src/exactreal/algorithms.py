@@ -32,17 +32,14 @@ from .kleenean import Branch, _select_with_effort, current_budget, select, selec
 def real_max(x, y) -> CReal:
     """max(x, y) by precision iteration over the interval maximum, which
     is monotone and no wider than its operands: no choice is made."""
-    return _binary(
-        CReal._coerce(x),
-        CReal._coerce(y),
-        lambda a, b, q: a.maximum(b),
-        "maximum",
-    )
+    x, y = CReal._coerce(x), CReal._coerce(y)
+    return _binary(x, y, lambda a, b, q: a.maximum(b), "refining a maximum")
 
 
 def real_abs(x) -> CReal:
     """|x| by precision iteration over the interval absolute value."""
-    return _binary(CReal._coerce(x), None, lambda a, _, q: abs(a), "absolute value")
+    x = CReal._coerce(x)
+    return _binary(x, None, lambda a, _, q: abs(a), "refining an absolute value")
 
 
 # -- pi ----------------------------------------------------------------
@@ -218,9 +215,8 @@ def real_sqrt(x) -> CReal:
     doubling past the first try; for x in [0.25, 2] the first try meets
     it.  A radicand certified below zero raises ``EffortExhausted`` at
     once."""
-    return _binary(
-        CReal._coerce(x), None, lambda a, _, q: a.sqrt(q), "refining a square root"
-    )
+    x = CReal._coerce(x)
+    return _binary(x, None, lambda a, _, q: a.sqrt(q), "refining a square root")
 
 
 # -- complex numbers ---------------------------------------------------

@@ -39,8 +39,9 @@ def _operator(combine, what: str):
     coerces both operands and builds one ``_binary`` node."""
 
     def method(x, y):
-        x, y = CReal._coerce(x), CReal._coerce(y)
-        if x is NotImplemented or y is NotImplemented:
+        try:
+            x, y = CReal._coerce(x), CReal._coerce(y)
+        except TypeError:
             return NotImplemented
         return _binary(x, y, combine, what)
 
@@ -88,11 +89,12 @@ class CReal:
         return node
 
     @classmethod
-    def from_fraction(cls, fr: Fraction) -> "CReal":
-        try:
-            return cls.from_dyadic(Dyadic.from_fraction(fr))
-        except ValueError:
-            num, den = fr.numerator, fr.denominator
+    def from_fraction(cls, fr: int | Fraction) -> "CReal":
+        """An exact leaf when the denominator is a power of two, else a
+        leaf of one floor division per precision."""
+        num, den = fr.numerator, fr.denominator
+        if not den & (den - 1):
+            return cls.from_dyadic(Dyadic(num, 1 - den.bit_length()))
 
         def fn(p: int) -> Interval:
             k = p + 2
@@ -105,20 +107,21 @@ class CReal:
 
     @staticmethod
     def _coerce(value) -> "CReal":
+        """An exact operand as a CReal; any other type raises TypeError."""
         if isinstance(value, CReal):
             return value
-        if isinstance(value, int):
-            return CReal.from_int(value)
         if isinstance(value, Dyadic):
             return CReal.from_dyadic(value)
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
             return CReal.from_fraction(value)
-        return NotImplemented
+        raise TypeError(f"{type(value).__name__} is not an exact real")
 
-    __add__, __radd__ = _operator(lambda a, b, q: a + b, "addition")
-    __sub__, __rsub__ = _operator(lambda a, b, q: a - b, "subtraction")
-    __mul__, __rmul__ = _operator(lambda a, b, q: a * b, "multiplication")
-    __truediv__, __rtruediv__ = _operator(lambda a, b, q: a.div(b, q + 2), "division")
+    __add__, __radd__ = _operator(lambda a, b, q: a + b, "refining a sum")
+    __sub__, __rsub__ = _operator(lambda a, b, q: a - b, "refining a difference")
+    __mul__, __rmul__ = _operator(lambda a, b, q: a * b, "refining a product")
+    __truediv__, __rtruediv__ = _operator(
+        lambda a, b, q: a.div(b, q + 2), "refining a quotient"
+    )
 
     def __neg__(self):
         return CReal(lambda p: -self.approx(p))

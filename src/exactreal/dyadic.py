@@ -33,8 +33,8 @@ _DECIMAL_CHUNK = 1000
 
 def decimal_string(n: int, point: int = 0) -> str:
     """``n * 10**-point`` in decimal, with ``point`` digits after the
-    point, for an int ``n`` of any size: split by powers of ten into
-    chunks that ``str`` may convert."""
+    point, for an int ``n`` of any size: split in halves by one power
+    of ten until ``str`` may convert each part."""
     if n < 0:
         return "-" + decimal_string(-n, point)
     if point:
@@ -43,22 +43,9 @@ def decimal_string(n: int, point: int = 0) -> str:
     digits = n.bit_length() * 30103 // 100000 + 1  # at least len(str(n))
     if digits <= _DECIMAL_CHUNK:
         return str(n)
-    # powers[i] = 10**(chunk * 2**i), up to just below n's digit count
-    powers = [10**_DECIMAL_CHUNK]
-    while _DECIMAL_CHUNK << len(powers) < digits:
-        powers.append(powers[-1] * powers[-1])
-
-    def convert(m: int, i: int) -> str:
-        # m < 10**(chunk * 2**i)
-        if i == 0:
-            return str(m)
-        hi, lo = divmod(m, powers[i - 1])
-        width = _DECIMAL_CHUNK << (i - 1)
-        if hi == 0:
-            return convert(lo, i - 1)
-        return convert(hi, i - 1) + convert(lo, i - 1).rjust(width, "0")
-
-    return convert(n, len(powers))
+    k = digits // 2
+    hi, lo = divmod(n, 10**k)
+    return decimal_string(hi) + decimal_string(lo).rjust(k, "0")
 
 
 def _operator(combine):
@@ -105,18 +92,6 @@ class Dyadic:
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic values are immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "Dyadic":
-        """Exact conversion; the denominator must be a power of two."""
-        den = fr.denominator
-        if den & (den - 1):
-            # a fixed message: CReal.from_fraction catches this for every
-            # non-dyadic rational, and formatting a huge one costs O(n**2)
-            raise ValueError("not a dyadic rational")
-        return cls(fr.numerator, -(den.bit_length() - 1))
 
     # -- conversions --------------------------------------------------
 

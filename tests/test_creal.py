@@ -8,7 +8,7 @@ from math import floor, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactreal.algorithms import heron, real_sqrt
+from exactreal.algorithms import Complex, heron, real_abs, real_max, real_sqrt
 from exactreal.creal import (
     CReal,
     dyadic_approx,
@@ -58,6 +58,25 @@ class TestConstructors:
             Dyadic(3, -1)
         )
 
+    @pytest.mark.parametrize("value", [7, -3, Fraction("2.25"), Fraction("-0.5")])
+    def test_dyadic_values_are_exact_leaves(self, value):
+        leaf = CReal.from_fraction(value)
+        with effort_budget(64):
+            for p in (0, 1, 64, 65, 10_000):
+                iv = leaf.approx(p)
+                assert iv.lo.to_fraction() == iv.hi.to_fraction() == value
+
+    @pytest.mark.parametrize("value", [Fraction("0.1"), Fraction(1, 3)])
+    def test_other_rationals_are_refined_leaves(self, value):
+        leaf = CReal.from_fraction(value)
+        with effort_budget(64):
+            for p in (0, 1, 30, 64):
+                iv = leaf.approx(p)
+                assert in_interval(iv, value)
+                assert iv.width() <= Dyadic(1, -p)
+            with pytest.raises(EffortExhausted):
+                leaf.approx(65)
+
     def test_from_fraction_non_dyadic(self):
         third = CReal.from_fraction(Fraction(1, 3))
         iv = third.approx(10)
@@ -69,6 +88,54 @@ class TestConstructors:
         iv = CReal.from_fraction(fr).approx(p)
         assert in_interval(iv, fr)
         assert iv.width() <= Dyadic(1, -p)
+
+
+class TestInexactOperands:
+    """Only exact values enter: a float or a str is refused at the call
+    that takes it, not when the node is first asked for an answer."""
+
+    BUILDERS = {
+        "real_sqrt": real_sqrt,
+        "real_abs": real_abs,
+        "real_max": lambda v: real_max(1, v),
+        "split": lambda v: split(v, 0, 1),
+        "Complex": lambda v: Complex(1, v),
+    }
+
+    @pytest.mark.parametrize("value", [0.5, "2"])
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_refused_at_the_call(self, name, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            self.BUILDERS[name](value)
+
+    def test_operators_leave_it_to_python(self):
+        x = CReal.from_int(1)
+        with pytest.raises(TypeError):
+            x + 0.5
+        with pytest.raises(TypeError):
+            0.5 * x
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda x: x + x, "a sum"),
+        (lambda x: x - x, "a difference"),
+        (lambda x: x * x, "a product"),
+        (lambda x: x / x, "a quotient"),
+        (lambda x: real_max(x, x), "a maximum"),
+        (real_abs, "an absolute value"),
+        (real_sqrt, "a square root"),
+    ],
+    ids=["sum", "difference", "product", "quotient", "maximum", "abs", "sqrt"],
+)
+def test_budget_message_names_the_node(build, what):
+    # 62 bits pass the node's own check; its first working precision,
+    # 66, is past the budget
+    node = build(CReal.from_fraction(Fraction(1, 3)))
+    with effort_budget(64), pytest.raises(EffortExhausted) as err:
+        node.approx(62)
+    assert str(err.value) == f"effort budget 64 exhausted while refining {what}"
 
 
 class TestArithmetic:

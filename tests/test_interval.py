@@ -13,8 +13,16 @@ from exactreal.errors import DivisorStraddlesZero, OutsideDomain
 from exactreal.interval import Interval
 
 
+def dyadic(x) -> Dyadic:
+    """The exact Dyadic of a dyadic decimal such as 2.25 or "-0.5"."""
+    fr = Fraction(str(x))
+    den = fr.denominator
+    assert not den & (den - 1), f"{x} is not dyadic"
+    return Dyadic(fr.numerator, 1 - den.bit_length())
+
+
 def iv(lo, hi):
-    return Interval(Dyadic.from_fraction(Fraction(str(lo))), Dyadic.from_fraction(Fraction(str(hi))))
+    return Interval(dyadic(lo), dyadic(hi))
 
 
 small_dyadics = st.builds(
@@ -260,8 +268,8 @@ def test_sqrt_exact_squares(k):
     ):
         root = box.sqrt(k)
         assert root.contains_interval(iv(lo, hi))
-        assert root.lo >= Dyadic.from_fraction(Fraction(str(lo))) - 2 * step
-        assert root.hi <= Dyadic.from_fraction(Fraction(str(hi))) + 2 * step
+        assert root.lo >= dyadic(lo) - 2 * step
+        assert root.hi <= dyadic(hi) + 2 * step
 
 
 def test_sqrt_of_negative_interval_raises():
