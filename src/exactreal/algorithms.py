@@ -15,7 +15,6 @@ from .creal import (
     CReal,
     ZERO_REAL,
     _binary,
-    _doubling,
     less_than,
     limit,
     limit_refine,
@@ -24,7 +23,14 @@ from .creal import (
 from .dyadic import Dyadic, isqrt_rem, scaled_quotient
 from .errors import EffortExhausted
 from .interval import Interval, from_ints
-from .kleenean import Branch, _select_with_effort, current_budget, select, select_index
+from .kleenean import (
+    Branch,
+    _efforts,
+    _select_with_effort,
+    current_budget,
+    select,
+    select_index,
+)
 
 # -- maximum and absolute value ---------------------------------------
 
@@ -112,9 +118,10 @@ def real_pi() -> CReal:
 
 
 def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
-    """The unique zero of ``f`` on [a, b], given f(a) < 0 < f(b) or
-    f(a) > 0 > f(b); the first step certifies which, and trisects -f in
-    the second case.
+    """The unique zero of ``f`` on [a, b], exact ends (an int, a
+    ``Fraction`` or a ``Dyadic``), given f(a) < 0 < f(b) or f(a) > 0 >
+    f(b); the first step certifies which, and trisects -f in the second
+    case.
 
     With g(a) < 0 < g(b), each step moves one bracket end to a
     trisection point a1 < b1 by certifying g(a1) < 0 or 0 < g(b1), so
@@ -125,7 +132,10 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
     1.7 (n + log2((b - a)/d)) steps; when n plus the bits of that width
     exceed the budget, ``EffortExhausted`` comes before any step.
     """
-    a, b = Fraction(a), Fraction(b)
+    for end in (a, b):
+        if not isinstance(end, (int, Fraction, Dyadic)):
+            raise TypeError(f"{type(end).__name__} is not an exact bracket end")
+    a, b = (v.to_fraction() if isinstance(v, Dyadic) else Fraction(v) for v in (a, b))
     if not a < b:
         raise ValueError("invalid bracket: need a < b")
 
@@ -168,8 +178,7 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
 def heron(x, n: int) -> CReal:
     """n-th exact Heron iterate h <- (h + x/h)/2 for sqrt(x), starting
     from 1: within 2**-2**n of the root for x in [0.25, 2]."""
-    x = CReal._coerce(x)
-    h = CReal.from_int(1)
+    x, h = CReal._coerce(x), CReal.from_fraction(1)
     for _ in range(n):
         h = (h + x / h).scale2(-1)
     return h
@@ -194,7 +203,7 @@ def sqrt_scale(x) -> tuple[int, CReal]:
     copy are certified.  Raises ``EffortExhausted`` when x <= 0.
     """
     x = CReal._coerce(x)
-    for q in _doubling(2, "scaling into [0.25, 2]"):
+    for q in _efforts(2, 2, "scaling into [0.25, 2]"):
         iv = x.approx(q)
         if iv.lo.sign > 0:
             # 4**z pushes hi into (1/2, 2]

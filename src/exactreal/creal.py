@@ -29,6 +29,7 @@ from .kleenean import (
     TRUE,
     Branch,
     LazyKleenean,
+    _efforts,
     current_budget,
     select,
 )
@@ -72,15 +73,10 @@ class CReal:
         if p > current_budget():
             raise EffortExhausted(current_budget(), f"refining to {p} bits")
         iv = self._fn(p)
-        self._best_p = p
-        self._best = iv
+        self._best_p, self._best = p, iv
         return iv
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int) -> "CReal":
-        return cls.from_dyadic(Dyadic(n))
 
     @classmethod
     def from_dyadic(cls, d: Dyadic) -> "CReal":
@@ -133,20 +129,6 @@ class CReal:
         return CReal(lambda p: self.approx(max(0, p + k)).scale2(k))
 
 
-def _doubling(start: int, what: str):
-    """Working precisions start, 2*start, 4*start, ... capped at the
-    budget; raises ``EffortExhausted`` once the budget itself was tried,
-    or at once when start is above it."""
-    budget = current_budget()
-    q = start
-    while q <= budget:
-        yield q
-        if q == budget:
-            break
-        q = min(budget, 2 * q)
-    raise EffortExhausted(budget, what)
-
-
 def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
     """The refinement node of every binary operation and of the unary
     interval primitives (``y`` None): square root and absolute value.
@@ -156,7 +138,7 @@ def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
     divisor that straddles zero is retried at the next q; an operand
     certified outside the domain (a negative radicand) is refused at
     once, since no higher q can bring it back."""
-    for q in _doubling(p + 4, what):
+    for q in _efforts(p + 4, p + 4, what):
         try:
             # Right operand first: in a Heron step (h + x/h)/2 the quotient
             # asks h at a higher precision than the sum does, so asking it
@@ -178,13 +160,13 @@ def _binary(x: CReal, y: CReal | None, combine, what: str) -> CReal:
 # -- comparison and splitting -----------------------------------------
 
 
-def less_than(x: CReal, y: CReal) -> LazyKleenean:
+def less_than(x, y) -> LazyKleenean:
     """Semi-decidable order: true iff x < y, false iff y < x, bottom
     forever when x = y."""
+    x, y = CReal._coerce(x), CReal._coerce(y)
 
     def fn(n: int):
-        xi = x.approx(n)
-        yi = y.approx(n)
+        xi, yi = x.approx(n), y.approx(n)
         if xi.precedes(yi):
             return TRUE
         if yi.precedes(xi):
@@ -197,9 +179,7 @@ def less_than(x: CReal, y: CReal) -> LazyKleenean:
 def split(x, y, eps) -> Branch:
     """Approximate splitting: Left certifies x < y + eps, Right
     certifies y < x + eps.  Requires eps > 0."""
-    x = CReal._coerce(x)
-    y = CReal._coerce(y)
-    eps = CReal._coerce(eps)
+    x, y, eps = map(CReal._coerce, (x, y, eps))
     return select(less_than(x, y + eps), less_than(y, x + eps))
 
 
@@ -248,21 +228,21 @@ def limit_refine(hint, step) -> CReal:
 # -- rounding to integers and decimals ---------------------------------
 
 
-def round_nd(x: CReal) -> int:
+def round_nd(x) -> int:
     """Nondeterministic rounding: some integer z with z-1 < x < z+1."""
-    for q in _doubling(2, "rounding to an integer"):
+    x = CReal._coerce(x)
+    for q in _efforts(2, 2, "rounding to an integer"):
         iv = x.approx(q)
         # nearest integer to the midpoint
-        mid = iv.midpoint()
-        z = (mid + Dyadic(1, -1)).floor_to_grid(0)
+        z = (iv.midpoint() + Dyadic(1, -1)).floor_to_grid(0)
         z_int = z.mantissa << max(z.exponent, 0)
         if Dyadic(z_int - 1) < iv.lo and iv.hi < Dyadic(z_int + 1):
             return z_int
 
 
-def dyadic_approx(x: CReal, n: int) -> int:
+def dyadic_approx(x, n: int) -> int:
     """Some integer z with |x - z * 2**-n| <= 2**-n."""
-    return round_nd(x.scale2(n))
+    return round_nd(CReal._coerce(x).scale2(n))
 
 
 def bits_for_digits(digits: int) -> int:
@@ -271,7 +251,7 @@ def bits_for_digits(digits: int) -> int:
     return 3322 * digits // 1000 + 3
 
 
-def to_decimal(x: CReal, digits: int) -> str:
+def to_decimal(x, digits: int) -> str:
     """Decimal rendering with |x - printed| <= 10**-digits."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -280,7 +260,7 @@ def to_decimal(x: CReal, digits: int) -> str:
     # the 5**digits below
     if bits >= _EXP_LIMIT:
         raise ExponentOverflow(f"{digits} digits need {bits} bits, past the exponent range")
-    iv = x.approx(bits)
+    iv = CReal._coerce(x).approx(bits)
     # n = midpoint * 10**digits = (a + b) * 5**digits * 2**(e - 1 +
     # digits), rounded half up to an integer by one shift
     scaled = (iv.a + iv.b) * 5**digits

@@ -108,27 +108,32 @@ class LazyKleenean:
         return LazyKleenean(lambda n: self.at(n) | other.at(n))
 
 
+def _efforts(start: int, step: int, what: str):
+    """The one walk up to the budget, of precision iteration and of
+    ``select``: start + (2**i - 1) step for i = 0, 1, 2, ..., capped at
+    the budget, so all levels together cost a constant factor of the
+    last.  Raises ``EffortExhausted`` once the budget itself was
+    yielded, or at once when start is above it."""
+    budget = current_budget()
+    while start <= budget:
+        yield start
+        if start == budget:
+            break
+        start, step = min(budget, start + step), 2 * step
+    raise EffortExhausted(budget, what)
+
+
 def _select_with_effort(
     candidates: Sequence[LazyKleenean], start: int
 ) -> tuple[int, int]:
-    """``(index, effort)`` of the first candidate found true, querying
-    all of them at the effort levels start, start+1, start+3, start+7,
-    ... (start + 2**i - 1), capped at the budget.
-
-    Geometric advance keeps the total work of the underlying
-    evaluations within a constant factor of the final level; a start
-    hint lets iterated searches resume near their last success.  Raises
-    ``EffortExhausted`` once the budget itself was tried.
-    """
-    budget = current_budget()
-    n, step = min(start, budget), 1
-    while True:
+    """``(index, effort)`` of the first candidate found true, all queried
+    at each of ``_efforts(start, 1, ...)`` from start capped at the
+    budget, so iterated searches resume near their last success."""
+    what = "waiting for a true Kleenean in select"
+    for n in _efforts(min(start, current_budget()), 1, what):
         for i, k in enumerate(candidates):
             if k.at(n) is TRUE:
                 return i, n
-        if n >= budget:
-            raise EffortExhausted(budget, "waiting for a true Kleenean in select")
-        n, step = min(budget, n + step), 2 * step
 
 
 def select_index(candidates: Sequence[LazyKleenean]) -> int:

@@ -209,7 +209,7 @@ def test_08_refinement_limit_is_one_candidate():
             value = 0 if br is Branch.LEFT else 1
         else:
             value = hint
-        return CReal.from_int(value), value
+        return CReal.from_fraction(value), value
 
     ok = True
     for _ in range(5):

@@ -176,6 +176,17 @@ class TestTrisection:
         with pytest.raises(ValueError):
             ivt_trisect(lambda x: x, 1, 0)
 
+    @pytest.mark.parametrize(
+        "a, b, named", [(0.1, "0.9", "float"), (Fraction(1, 10), "0.9", "str")]
+    )
+    def test_inexact_bracket_end_is_refused(self, a, b, named):
+        with pytest.raises(TypeError, match=named):
+            ivt_trisect(lambda x: x - Fraction(1, 2), a, b)
+
+    def test_dyadic_bracket_end(self):
+        root = ivt_trisect(lambda x: x - Fraction(1, 2), Dyadic(0), 1)
+        assert in_interval(root.approx(100), Fraction(1, 2))
+
     def test_bad_bracket_exhausts_budget(self):
         # f(0) = 1 > 0: no sign change, neither certificate can fire
         with effort_budget(128), pytest.raises(EffortExhausted):
@@ -336,6 +347,14 @@ class TestRealSqrt:
         value = x * Fraction(4) ** z
         assert Fraction(1, 4) <= value <= 2
         assert in_interval(scaled.approx(30), value)
+
+    def test_scale_walks_doubling_precisions_to_the_budget(self):
+        asked = []
+        zero = CReal(lambda p: asked.append(p) or Interval.point(Dyadic(0)))
+        with effort_budget(64), pytest.raises(EffortExhausted) as err:
+            sqrt_scale(zero)
+        assert asked == [2, 4, 8, 16, 32, 64]
+        assert "exhausted while scaling into [0.25, 2]" in str(err.value)
 
     def test_scale_rejects_zero(self):
         with effort_budget(256), pytest.raises(EffortExhausted):

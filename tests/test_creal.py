@@ -52,8 +52,8 @@ def settle(k: LazyKleenean, max_effort: int = 64):
 
 class TestConstructors:
     def test_point_intervals(self):
-        assert CReal.from_int(0).approx(10) == Interval.point(Dyadic(0))
-        assert CReal.from_int(1).approx(500) == Interval.point(Dyadic(1))
+        assert CReal.from_fraction(0).approx(10) == Interval.point(Dyadic(0))
+        assert CReal.from_fraction(1).approx(500) == Interval.point(Dyadic(1))
         assert CReal.from_dyadic(Dyadic(3, -1)).approx(5) == Interval.point(
             Dyadic(3, -1)
         )
@@ -90,6 +90,23 @@ class TestConstructors:
         assert iv.width() <= Dyadic(1, -p)
 
 
+class TestExactOperands:
+    """Every function that takes a real takes an int or a Fraction too."""
+
+    def test_less_than(self):
+        assert settle(less_than(Fraction(1, 2), CReal.from_fraction(1))) is TRUE
+
+    def test_to_decimal(self):
+        assert to_decimal(3, 5) == "3.00000"
+
+    def test_round_nd(self):
+        assert round_nd(3) in (2, 3, 4)
+
+    def test_dyadic_approx(self):
+        # 16/3 = 5.33...
+        assert dyadic_approx(Fraction(1, 3), 4) in (5, 6)
+
+
 class TestInexactOperands:
     """Only exact values enter: a float or a str is refused at the call
     that takes it, not when the node is first asked for an answer."""
@@ -100,6 +117,10 @@ class TestInexactOperands:
         "real_max": lambda v: real_max(1, v),
         "split": lambda v: split(v, 0, 1),
         "Complex": lambda v: Complex(1, v),
+        "less_than": lambda v: less_than(v, CReal.from_fraction(1)),
+        "round_nd": round_nd,
+        "dyadic_approx": lambda v: dyadic_approx(v, 4),
+        "to_decimal": lambda v: to_decimal(v, 5),
     }
 
     @pytest.mark.parametrize("value", [0.5, "2"])
@@ -109,7 +130,7 @@ class TestInexactOperands:
             self.BUILDERS[name](value)
 
     def test_operators_leave_it_to_python(self):
-        x = CReal.from_int(1)
+        x = CReal.from_fraction(1)
         with pytest.raises(TypeError):
             x + 0.5
         with pytest.raises(TypeError):
@@ -140,7 +161,7 @@ def test_budget_message_names_the_node(build, what):
 
 class TestArithmetic:
     def test_one_plus_one(self):
-        iv = (CReal.from_int(1) + CReal.from_int(1)).approx(20)
+        iv = (CReal.from_fraction(1) + CReal.from_fraction(1)).approx(20)
         assert in_interval(iv, Fraction(2))
         assert iv.width() <= Dyadic(1, -20)
 
@@ -151,7 +172,7 @@ class TestArithmetic:
         assert iv.width() <= Dyadic(1, -100)
 
     def test_one_third(self):
-        iv = (CReal.from_int(1) / CReal.from_int(3)).approx(10)
+        iv = (CReal.from_fraction(1) / CReal.from_fraction(3)).approx(10)
         assert in_interval(iv, Fraction(1, 3))
         assert iv.width() <= Dyadic(1, -10)
 
@@ -176,11 +197,19 @@ class TestArithmetic:
 
     def test_division_by_zero_exhausts_budget(self):
         with effort_budget(512), pytest.raises(EffortExhausted):
-            (CReal.from_int(1) / CReal.from_int(0)).approx(5)
+            (CReal.from_fraction(1) / CReal.from_fraction(0)).approx(5)
+
+    def test_quotient_walks_doubling_precisions_to_the_budget(self):
+        asked = []
+        zero = CReal(lambda p: asked.append(p) or Interval.point(Dyadic(0)))
+        with effort_budget(1000), pytest.raises(EffortExhausted) as err:
+            (CReal.from_fraction(1) / zero).approx(10)
+        assert asked == [14, 28, 56, 112, 224, 448, 896, 1000]
+        assert "exhausted while refining a quotient" in str(err.value)
 
     def test_exact_leaves_need_no_budget(self):
         with effort_budget(0):
-            assert CReal.from_int(2).approx(1000) == Interval.point(Dyadic(2))
+            assert CReal.from_fraction(2).approx(1000) == Interval.point(Dyadic(2))
             assert CReal.from_fraction(Fraction(3, 8)).approx(50).width() == Dyadic(0)
 
     def test_non_dyadic_leaf_obeys_budget(self):
@@ -200,21 +229,21 @@ class TestArithmetic:
         assert lo * lo <= 2 <= hi * hi
 
     def test_approx_is_idempotent(self):
-        x = CReal.from_int(1) / 3
+        x = CReal.from_fraction(1) / 3
         fine = x.approx(80)
         # coarser query after a finer one reuses the cache
         assert x.approx(10) == fine
         assert x.approx(80) == fine
 
     def test_scale2(self):
-        x = (CReal.from_int(1) / 3).scale2(4)
+        x = (CReal.from_fraction(1) / 3).scale2(4)
         assert in_interval(x.approx(30), Fraction(16, 3))
 
 
 class TestComparison:
     def test_directions(self):
-        assert settle(less_than(CReal.from_int(0), CReal.from_int(1))) is TRUE
-        assert settle(~less_than(CReal.from_int(1), CReal.from_int(0))) is TRUE
+        assert settle(less_than(CReal.from_fraction(0), CReal.from_fraction(1))) is TRUE
+        assert settle(~less_than(CReal.from_fraction(1), CReal.from_fraction(0))) is TRUE
 
     def test_diagonal_stays_bottom(self):
         x = CReal.from_fraction(Fraction(1, 3))
@@ -273,7 +302,7 @@ class TestLimit:
 
         def f(n):
             calls.append(n)
-            return CReal.from_int(0)
+            return CReal.from_fraction(0)
 
         lim = limit(f)
         lim.approx(10)
@@ -296,7 +325,7 @@ class TestLimitRefine:
                 value = 0 if br is Branch.LEFT else 1
             else:
                 value = hint
-            return CReal.from_int(value), value
+            return CReal.from_fraction(value), value
 
         lim = limit_refine(None, step)
         iv = lim.approx(5)
@@ -326,8 +355,8 @@ class TestRounding:
     def test_round_nd_examples(self):
         z = round_nd(CReal.from_dyadic(Dyadic(5, -1)))
         assert z in (2, 3)
-        assert round_nd(CReal.from_int(0)) in (-1, 0, 1)
-        assert round_nd(CReal.from_int(7)) in (6, 7, 8)
+        assert round_nd(CReal.from_fraction(0)) in (-1, 0, 1)
+        assert round_nd(CReal.from_fraction(7)) in (6, 7, 8)
 
     @given(rationals)
     def test_round_nd_contract(self, fr):
@@ -336,8 +365,8 @@ class TestRounding:
 
     def test_dyadic_approx_examples(self):
         assert dyadic_approx(CReal.from_fraction(Fraction(1, 3)), 2) in (1, 2)
-        assert dyadic_approx(CReal.from_int(0), 8) in (-1, 0, 1)
-        assert dyadic_approx(CReal.from_int(1), 3) in (7, 8, 9)
+        assert dyadic_approx(CReal.from_fraction(0), 8) in (-1, 0, 1)
+        assert dyadic_approx(CReal.from_fraction(1), 3) in (7, 8, 9)
 
     @given(rationals, st.integers(min_value=0, max_value=20))
     def test_dyadic_approx_contract(self, fr, n):
@@ -347,7 +376,7 @@ class TestRounding:
 
 class TestDecimalOutput:
     def test_examples(self):
-        assert to_decimal(CReal.from_int(2), 3) == "2.000"
+        assert to_decimal(CReal.from_fraction(2), 3) == "2.000"
         assert to_decimal(CReal.from_fraction(Fraction(1, 4)), 2) == "0.25"
         # one ulp of slack in the last place is allowed by the contract
         assert to_decimal(CReal.from_fraction(Fraction(1, 3)), 5) in (
@@ -361,7 +390,7 @@ class TestDecimalOutput:
 
     def test_digits_validation(self):
         with pytest.raises(ValueError):
-            to_decimal(CReal.from_int(1), 0)
+            to_decimal(CReal.from_fraction(1), 0)
 
     @given(rationals, st.integers(min_value=1, max_value=12))
     def test_contract(self, fr, digits):

@@ -12,6 +12,7 @@ from exactreal.kleenean import (
     Kleenean,
     DEFAULT_BUDGET,
     LazyKleenean,
+    _efforts,
     _select_with_effort,
     current_budget,
     effort_budget,
@@ -182,6 +183,13 @@ class TestSelect:
 
         assert efforts(100, 0) == [0, 1, 3, 7, 15, 31, 63, 100]
         assert efforts(10, 5) == [5, 6, 8, 10]
+        # a resumed search whose hint is past the budget tries the budget
+        assert efforts(10, 50) == [10]
+
+    def test_efforts_refuse_a_start_above_the_budget(self):
+        walk = _efforts(11, 1, "walking past the budget")
+        with effort_budget(10), pytest.raises(EffortExhausted, match="walking past"):
+            next(walk)
 
     def test_select_index_many(self):
         idx = select_index(
