@@ -20,7 +20,7 @@ from .creal import (
     limit_refine,
     refinement_terms,
 )
-from .dyadic import Dyadic, isqrt_rem, scaled_quotient
+from .dyadic import Dyadic, isqrt_floor, scaled_quotient
 from .errors import EffortExhausted
 from .interval import Interval, from_ints
 from .kleenean import (
@@ -87,7 +87,7 @@ def _pi_interval(p: int) -> Interval:
       |S - T/Q| Q, and S Q lies in (T - e, T + e).
     - s = T/Q is within 2A 2**-41 of A, so s > 2**23, and
       eps = e/Q <= 2**(25-41n) + 1/Q < 2 < s: T - e > 0.
-    - r = floor(sqrt(10005 4**g)), exact from ``isqrt_rem``, so
+    - r = floor(sqrt(10005 4**g)), exact from ``isqrt_floor``, so
       r <= sqrt(10005) 2**g < r + 1, and pi 2**g lies in
       (426880 r Q/(T+e), 426880 (r+1) Q/(T-e)); lo floors the first.
     - The second exceeds the first, which is below lo + 1, by X =
@@ -105,7 +105,7 @@ def _pi_interval(p: int) -> Interval:
     n = (g + 30) // 41 + 1
     _, q, t = _pqt(0, n)
     e = (q >> (41 * n - 25)) + 1
-    r, _ = isqrt_rem(10005 << 2 * g)
+    r = isqrt_floor(10005 << 2 * g)
     lo = scaled_quotient(426880 * r * q, t + e, 0, up=False)
     return from_ints(lo, lo + 2, -g)
 
@@ -217,10 +217,11 @@ def sqrt_scale(x) -> tuple[int, CReal]:
 def real_sqrt(x) -> CReal:
     """sqrt(x) for x >= 0, total including 0, by precision iteration
     over ``Interval.sqrt``: one integer square root per working
-    precision q, ``isqrt_rem``'s Karatsuba square root, which hands
-    radicands under about 1,800 bits to ``math.isqrt``.  The radicand
-    is clipped at 0 and sqrt(hi) - sqrt(lo) <= sqrt(hi - lo), so every
-    x >= 0, including a hidden zero, meets the width by q = 2p + 8, one
+    precision q for the lower end, ``isqrt_floor``'s Karatsuba square
+    root, which squares no quotient at its top step and hands radicands
+    under about 1,800 bits to ``math.isqrt``.  The radicand is clipped
+    at 0 and sqrt(hi) - sqrt(lo) <= sqrt(hi - lo), so every x >= 0,
+    including a hidden zero, meets the width by q = 2p + 8, one
     doubling past the first try; for x in [0.25, 2] the first try meets
     it.  A radicand certified below zero raises ``EffortExhausted`` at
     once."""

@@ -6,9 +6,11 @@ plain integers.  Addition, subtraction and multiplication are exact,
 and directed rounding is the only lossy operation.  Values are
 immutable and hash like the equal int or Fraction.  ``scaled_quotient``
 is the one directed rounding, the floor or ceiling of n * 2**s / d that
-every grid rounding and directed division of the library calls, and
-``isqrt_rem`` the one integer square root, used by ``Interval.sqrt``
-and pi.
+every grid rounding and directed division of the library calls.  One
+Karatsuba square root gives the integer roots: ``isqrt_floor``, the
+floor root alone, for ``Interval.sqrt``'s lower end and pi, and
+``isqrt_rem``, the root and its remainder, for its own recursion and
+``Interval.sqrt``'s ceiling root.
 """
 
 from __future__ import annotations
@@ -231,10 +233,11 @@ def scaled_quotient(n: int, d: int, s: int, up: bool) -> int:
     return -((-n) // d) if up else n // d
 
 
-# isqrt_rem hands radicands of under about 1,800 bits (a split of fewer
-# than 450 bits) to math.isqrt.  Timed with CPython 3.11 on an x86-64
-# Xeon, the crossover lay at 1,800 to 2,200 bits, and thresholds from
-# 400 to 500 timed alike on radicands of 2,000 to 20,000 bits.
+# isqrt_rem and isqrt_floor hand radicands of under about 1,800 bits
+# (a split of fewer than 450 bits) to math.isqrt.  Timed with CPython
+# 3.11 on an x86-64 Xeon, the crossover lay at 1,800 to 2,200 bits, and
+# thresholds from 400 to 500 timed alike on radicands of 2,000 to 20,000
+# bits.
 _ISQRT_SPLIT_MIN = 450
 
 
@@ -265,6 +268,33 @@ def isqrt_rem(m: int) -> tuple[int, int]:
         r += 2 * s - 1
         s -= 1
     return s, r
+
+
+def isqrt_floor(m: int) -> int:
+    """``floor(sqrt(m))`` for an int m >= 0: ``isqrt_rem``'s root
+    without its remainder, so the top step squares no quotient.
+
+    The top step's s = (s1 << l) + q is one too large iff R < q**2, for
+    R = (u << l) | (m & mask).  With h = max(0, len(q) - 64), q lies in
+    [qh 2**h, (qh + 1) 2**h) for qh = q >> h, and R in [Rh 4**h,
+    (Rh + 1) 4**h) for Rh = R >> 2h: Rh >= (qh + 1)**2 keeps s, and
+    Rh < qh**2 takes s - 1.  Only between them, on perfect squares or
+    64 agreeing leading bits, is q**2 computed."""
+    l = (m.bit_length() - 1) >> 2
+    if l < _ISQRT_SPLIT_MIN:
+        return isqrt(m)
+    s1, r1 = isqrt_rem(m >> 2 * l)
+    mask = (1 << l) - 1
+    q, u = divmod((r1 << l) | ((m >> l) & mask), s1 << 1)
+    s = (s1 << l) + q
+    r = (u << l) | (m & mask)
+    h = max(0, q.bit_length() - 64)
+    qh, rh = q >> h, r >> 2 * h
+    if rh >= (qh + 1) ** 2:
+        return s
+    if rh < qh * qh:
+        return s - 1
+    return s - (r < q * q)
 
 
 def div_directed(a: Dyadic, b: Dyadic, k: int, up: bool) -> Dyadic:

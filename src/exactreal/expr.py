@@ -10,7 +10,6 @@ division per precision, so "0.1" stays exactly one tenth.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algorithms import Complex, csqrt, real_abs, real_max, real_pi, real_sqrt
@@ -18,16 +17,42 @@ from .creal import CReal
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
 class Num:
-    value: Fraction
+    """A decimal literal, by its exact value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, Num) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"Num(value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class Call:
-    name: str
-    args: tuple
-    pos: int = field(default=0, compare=False)
+    """An operation, the constant pi or the variable x on its argument
+    nodes.  ``pos``, the column in the source, is left out of ``==``
+    and the hash."""
+
+    __slots__ = ("name", "args", "pos")
+
+    def __init__(self, name: str, args: tuple, pos: int = 0):
+        self.name, self.args, self.pos = name, args, pos
+
+    def __eq__(self, other):
+        return isinstance(other, Call) and self.name == other.name and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.name, self.args))
+
+    def __repr__(self):
+        return f"Call(name={self.name!r}, args={self.args!r}, pos={self.pos!r})"
 
 
 # name -> (arity, operation) of every Call, "-x" too: Call("neg", (Call("x", ()),)).

@@ -20,7 +20,7 @@ ends share an exponent anyway.
 
 from __future__ import annotations
 
-from .dyadic import Dyadic, isqrt_rem, scaled_quotient
+from .dyadic import Dyadic, isqrt_floor, isqrt_rem, scaled_quotient
 from .errors import DivisorStraddlesZero, OutsideDomain
 
 
@@ -185,16 +185,18 @@ class Interval:
         outward onto the grid of multiples of 2**-k.
 
         The lower end is the integer root r of n_lo = floor(lo * 4**k),
-        with lo clipped at 0, from ``isqrt_rem``; n_hi = ceil(hi * 4**k).
+        with lo clipped at 0, from ``isqrt_floor``, which computes no
+        remainder; n_hi = ceil(hi * 4**k).
         sqrt is concave, so its tangent at n_lo bounds it above:
         sqrt(n_hi) <= r + 1 + d with d = ceil((n_hi - n_lo)/(2r)) for
         r > 0, one small division instead of a second full root.  These
         three roundings are ``scaled_quotient``'s.  The tangent
         overshoots by about d**2/(2r) grid steps, so when r = 0 or
         d**2 > r the upper end is the ceiling root of n_hi instead: its
-        floor root, plus one when the remainder is positive.  The lower end is monotone in
-        the interval; the upper end is not, since a wider interval may
-        take the tighter ceiling root.
+        floor root from ``isqrt_rem``, plus one when the remainder is
+        positive.  The lower end is monotone in the interval; the upper
+        end is not, since a wider interval may take the tighter ceiling
+        root.
 
         Raises ``OutsideDomain`` when the interval lies below zero; the
         radicand is then certified negative, and the real layer refuses
@@ -206,7 +208,7 @@ class Interval:
         s = self.e + 2 * k
         n_lo = scaled_quotient(a, 1, s, up=False) if a > 0 else 0
         n_hi = scaled_quotient(b, 1, s, up=True)
-        r, _ = isqrt_rem(n_lo)
+        r = isqrt_floor(n_lo)
         if r:
             d = scaled_quotient(n_hi - n_lo, 2 * r, 0, up=True)
             if d * d <= r:

@@ -113,9 +113,9 @@ class TestPi:
             monkeypatch.setattr(algorithms_module, name, call)
 
         counted("scaled_quotient")
-        counted("isqrt_rem")
+        counted("isqrt_floor")
         iv = algorithms_module._pi_interval(p)
-        assert sorted(calls) == ["isqrt_rem", "scaled_quotient"]
+        assert sorted(calls) == ["isqrt_floor", "scaled_quotient"]
         assert iv.b - iv.a == 2 and iv.e == -(p + 2)
 
     def test_ten_digits(self):
@@ -413,26 +413,26 @@ dyadics = st.builds(Dyadic, st.integers(-(2**80), 2**80), st.integers(-120, 20))
 
 class TestNewtonSqrt:
     """sqrt_restricted is precision iteration over ``Interval.sqrt``,
-    whose integer square root is ``isqrt_rem``'s Karatsuba recursion;
-    no interval division and one full-width root per working
-    precision, none of them a wide ``math.isqrt``."""
+    whose lower end is ``isqrt_floor``'s Karatsuba recursion; no
+    interval division and one full-width root per working precision,
+    none of them a wide ``math.isqrt``."""
 
     def record(self, monkeypatch):
-        """Count interval divisions, ``Interval.sqrt``'s integer square
-        roots of radicands of at least 10,000 bits, and ``math.isqrt``
-        calls on such radicands inside ``isqrt_rem``."""
+        """Count interval divisions, ``Interval.sqrt``'s lower-end roots
+        of radicands of at least 10,000 bits, and ``math.isqrt`` calls on
+        such radicands inside the Karatsuba recursion."""
         seen = {"divisions": 0, "wide_isqrts": 0, "wide_math_isqrts": 0}
         div = Interval.div
-        isqrt_rem = dyadic_module.isqrt_rem
+        isqrt_floor = dyadic_module.isqrt_floor
 
         def counted_div(self, other, bits):
             seen["divisions"] += 1
             return div(self, other, bits)
 
-        def counted_isqrt_rem(n):
+        def counted_isqrt_floor(n):
             if n.bit_length() >= 10_000:
                 seen["wide_isqrts"] += 1
-            return isqrt_rem(n)
+            return isqrt_floor(n)
 
         def counted_isqrt(n):
             if n.bit_length() >= 10_000:
@@ -440,7 +440,7 @@ class TestNewtonSqrt:
             return isqrt(n)
 
         monkeypatch.setattr(Interval, "div", counted_div)
-        monkeypatch.setattr(interval_module, "isqrt_rem", counted_isqrt_rem)
+        monkeypatch.setattr(interval_module, "isqrt_floor", counted_isqrt_floor)
         monkeypatch.setattr(dyadic_module, "isqrt", counted_isqrt)
         return seen
 
@@ -450,7 +450,7 @@ class TestNewtonSqrt:
         assert iv.width() <= Dyadic(1, -10_000)
         assert in_interval(iv.widen(Dyadic(1, -10_000)), sqrt_oracle(Fraction(2), 10_000))
         assert seen["divisions"] == 0
-        assert seen["wide_isqrts"] <= 1
+        assert seen["wide_isqrts"] == 1
         assert seen["wide_math_isqrts"] == 0
 
     def test_sqrt_sqrt2_two_wide_isqrts(self, monkeypatch):
@@ -459,7 +459,7 @@ class TestNewtonSqrt:
         assert iv.lo * iv.lo * iv.lo * iv.lo <= Dyadic(2) <= iv.hi * iv.hi * iv.hi * iv.hi
         assert seen["divisions"] == 0
         # one per square root
-        assert seen["wide_isqrts"] <= 2
+        assert seen["wide_isqrts"] == 2
         assert seen["wide_math_isqrts"] == 0
 
     @given(lo=dyadics, hi=dyadics, k=st.integers(0, 300), j=st.integers(0, 2**12))

@@ -16,6 +16,7 @@ from exactreal.dyadic import (
     Dyadic,
     decimal_string,
     div_directed,
+    isqrt_floor,
     isqrt_rem,
     scaled_quotient,
 )
@@ -282,12 +283,15 @@ class TestScaledQuotient:
         assert scaled_quotient(n, d, s, up=True) == ceil(exact)
 
 
-def root_and_remainder(m):
+def check_roots(m):
+    """``isqrt_rem`` is math.isqrt's root with its exact remainder, and
+    ``isqrt_floor`` is math.isqrt's root."""
     s = isqrt(m)
-    return s, m - s * s
+    assert isqrt_rem(m) == (s, m - s * s)
+    assert isqrt_floor(m) == s
 
 
-# the shortest radicand that isqrt_rem splits rather than hands to isqrt
+# the shortest radicand that the Karatsuba roots split rather than hand to isqrt
 _FIRST_SPLIT_BITS = 4 * dyadic_module._ISQRT_SPLIT_MIN + 1
 
 
@@ -321,11 +325,15 @@ def _edge_radicands():
 
 
 class TestIntegerSquareRoot:
-    """``isqrt_rem`` is math.isqrt's root with its exact remainder."""
+    """``isqrt_rem`` and ``isqrt_floor`` against math.isqrt.
+    ``isqrt_floor`` decides its top step's one correction from 64
+    leading bits of the quotient q and of R; a perfect square has
+    R = q**2 exactly, so squares are the inputs that reach its exact
+    comparison ``R < q*q``."""
 
     @pytest.mark.parametrize("m", _edge_radicands())
     def test_edge_cases(self, m):
-        assert isqrt_rem(m) == root_and_remainder(m)
+        check_roots(m)
 
     @given(
         bits=st.integers(0, 60_000),
@@ -336,10 +344,11 @@ class TestIntegerSquareRoot:
         m = random.Random(seed).getrandbits(bits)
         if shape != "dense":
             # a perfect square or a neighbour, where a root one too
-            # large would show as a negative remainder
+            # large would show as a negative remainder, and a square
+            # takes isqrt_floor's exact comparison
             m = isqrt(m) ** 2 + {"square": 0, "below": -1, "above": 1}[shape]
         m = max(m, 0)
-        assert isqrt_rem(m) == root_and_remainder(m)
+        check_roots(m)
 
     def test_every_small_radicand_through_deep_recursion(self, monkeypatch):
         # splits from 1 bit up run the recursion several levels deep,
@@ -347,13 +356,13 @@ class TestIntegerSquareRoot:
         # them all
         monkeypatch.setattr(dyadic_module, "_ISQRT_SPLIT_MIN", 1)
         for m in range(1 << 14):
-            assert isqrt_rem(m) == root_and_remainder(m)
+            check_roots(m)
         rng = random.Random(7)
         for _ in range(2000):
             root = rng.getrandbits(rng.randrange(1, 400))
             for m in (root * root - 1, root * root, root * root + 1):
                 if m >= 0:
-                    assert isqrt_rem(m) == root_and_remainder(m)
+                    check_roots(m)
 
 
 class TestDecimalString:
