@@ -114,10 +114,11 @@ _BENCH_ROWS = {
 
 
 def _verified(iv, bits: int, p) -> bool:
-    """The interval is at most 2**-bits wide and contains the root of p:
-    p increases across it, so that is the exact sign test
+    """The interval is at most 2**-bits wide, by the exact difference of
+    its ends rather than the width test refinement uses, and contains
+    the root of p: p increases across it, so that is the exact sign test
     p(lo) <= 0 <= p(hi)."""
-    return iv.width_at_most(bits) and p(iv.lo) <= 0 <= p(iv.hi)
+    return iv.hi - iv.lo <= Dyadic(1, -bits) and p(iv.lo) <= 0 <= p(iv.hi)
 
 
 def _cmd_bench(args) -> int:

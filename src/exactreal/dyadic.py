@@ -8,9 +8,8 @@ immutable and hash like the equal int or Fraction.  ``scaled_quotient``
 is the one directed rounding, the floor or ceiling of n * 2**s / d that
 every grid rounding and directed division of the library calls.  One
 Karatsuba square root gives the integer roots: ``isqrt_floor``, the
-floor root alone, for ``Interval.sqrt``'s lower end and pi, and
-``isqrt_rem``, the root and its remainder, for its own recursion and
-``Interval.sqrt``'s ceiling root.
+floor root, for ``Interval.sqrt``'s two ends and pi, and ``isqrt_rem``,
+the root and its remainder, as the recursion of ``isqrt_floor``.
 """
 
 from __future__ import annotations

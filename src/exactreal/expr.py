@@ -1,4 +1,4 @@
-"""Expression ASTs, parsing and evaluation for the command line.
+"""Expressions as one shared DAG: parsing and evaluation for the command line.
 
 Grammar: usual precedence (* / over + -), parentheses, unary minus,
 decimal literals, the variable ``x``, the constant ``pi`` and the
@@ -17,39 +17,17 @@ from .creal import CReal
 from .errors import ParseError
 
 
-class Num:
-    """A decimal literal, by its exact value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, Num) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Num(value={self.value!r})"
-
-
 class Call:
     """An operation, the constant pi or the variable x on its argument
-    nodes.  ``pos``, the column in the source, is left out of ``==``
-    and the hash."""
+    nodes, each a ``Call`` or an exact ``Fraction`` literal.  Nodes
+    compare by identity: the parser builds one node per distinct
+    subtree, so a shared node's ``pos``, its column in the source, is
+    that of its first occurrence."""
 
     __slots__ = ("name", "args", "pos")
 
     def __init__(self, name: str, args: tuple, pos: int = 0):
         self.name, self.args, self.pos = name, args, pos
-
-    def __eq__(self, other):
-        return isinstance(other, Call) and self.name == other.name and self.args == other.args
-
-    def __hash__(self):
-        return hash((self.name, self.args))
 
     def __repr__(self):
         return f"Call(name={self.name!r}, args={self.args!r}, pos={self.pos!r})"
@@ -111,6 +89,13 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
+        # one node per distinct subtree: a literal keyed by its value, a
+        # call by its name and the ids of its arguments, which are shared
+        # already and kept alive here
+        self.nodes = {}
+
+    def call(self, name: str, args: tuple, pos: int) -> Call:
+        return self.nodes.setdefault((name, *map(id, args)), Call(name, args, pos))
 
     def next(self):
         tok = self.tokens[self.i]
@@ -122,7 +107,7 @@ class _Parser:
         if kind != "op" or text != symbol:
             raise ParseError(f"expected {symbol!r}", pos)
 
-    def expr(self, level: int = 1) -> Num | Call:
+    def expr(self, level: int = 1) -> Fraction | Call:
         """Precedence climbing: operators binding at ``level`` or tighter
         associate to the left."""
         left = self.atom()
@@ -132,14 +117,16 @@ class _Parser:
             if prec < level:
                 return left
             self.i += 1
-            left = Call(text, (left, self.expr(prec + 1)), pos)
+            left = self.call(text, (left, self.expr(prec + 1)), pos)
 
-    def atom(self) -> Num | Call:
+    def atom(self) -> Fraction | Call:
         kind, text, pos = self.next()
         if kind == "op" and text == "-":
-            return Call("neg", (self.atom(),), pos)
+            return self.call("neg", (self.atom(),), pos)
         if kind == "num":
-            return Num(decimal(text, pos))
+            value = decimal(text, pos)
+            # by its lowest terms: a Fraction's own hash takes a modular inverse
+            return self.nodes.setdefault((value.numerator, value.denominator), value)
         if kind == "ident":
             if text not in _OPERATIONS or text == "neg":
                 raise ParseError(f"unknown name {text!r}", pos)
@@ -154,7 +141,7 @@ class _Parser:
                 self.expect_op(")")
             if len(args) != arity:
                 raise ParseError(f"{text} takes {arity} argument(s)", pos)
-            return Call(text, tuple(args), pos)
+            return self.call(text, tuple(args), pos)
         if kind == "op" and text == "(":
             e = self.expr()
             self.expect_op(")")
@@ -162,7 +149,7 @@ class _Parser:
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
 
-def parse(src: str) -> Num | Call:
+def parse(src: str) -> Fraction | Call:
     parser = _Parser(src)
     e = parser.expr()
     kind, text, pos = parser.next()
@@ -171,25 +158,34 @@ def parse(src: str) -> Num | Call:
     return e
 
 
-def evaluate(e: Num | Call, env=None):
-    """Evaluate to a CReal (or Complex for csqrt results)."""
-    env = env or {}
+def evaluate(e: Fraction | Call, env=None):
+    """Evaluate to a CReal (or Complex for csqrt results).  Each node is
+    evaluated once, so a shared subtree is one value."""
+    return _value(e, env or {}, {})
 
-    def go(node):
-        if isinstance(node, Num):
-            return CReal.from_fraction(node.value)
-        name = node.name
-        if name == "x":
-            if name not in env:
-                raise ParseError(f"unbound variable {name!r}", node.pos)
-            return env[name]
+
+def _value(node, env: dict, memo: dict):
+    """The value of one node, memoized by ``id``: the tree keeps every
+    node alive while ``evaluate`` runs.  A module function, not a
+    closure, so no reference cycle keeps ``memo`` past the call."""
+    key = id(node)
+    value = memo.get(key)
+    if value is not None:
+        return value
+    if not isinstance(node, Call):
+        value = CReal.from_fraction(node)
+    elif (name := node.name) == "x":
+        if name not in env:
+            raise ParseError(f"unbound variable {name!r}", node.pos)
+        value = env[name]
+    else:
         args = []  # a loop, not a comprehension: no frame per level
         for arg in node.args:
-            args.append(go(arg))
+            args.append(_value(arg, env, memo))
         if any(isinstance(a, Complex) for a in args):
             if name not in _COMPLEX:
                 raise ParseError(f"{name} does not accept complex arguments", node.pos)
             args = [a if isinstance(a, Complex) else Complex(a, 0) for a in args]
-        return _OPERATIONS[name][1](*args)
-
-    return go(e)
+        value = _OPERATIONS[name][1](*args)
+    memo[key] = value
+    return value

@@ -20,7 +20,7 @@ ends share an exponent anyway.
 
 from __future__ import annotations
 
-from .dyadic import Dyadic, isqrt_floor, isqrt_rem, scaled_quotient
+from .dyadic import Dyadic, isqrt_floor, scaled_quotient
 from .errors import DivisorStraddlesZero, OutsideDomain
 
 
@@ -192,11 +192,11 @@ class Interval:
         r > 0, one small division instead of a second full root.  These
         three roundings are ``scaled_quotient``'s.  The tangent
         overshoots by about d**2/(2r) grid steps, so when r = 0 or
-        d**2 > r the upper end is the ceiling root of n_hi instead: its
-        floor root from ``isqrt_rem``, plus one when the remainder is
-        positive.  The lower end is monotone in the interval; the upper
-        end is not, since a wider interval may take the tighter ceiling
-        root.
+        d**2 > r the upper end is the ceiling root of n_hi instead,
+        ceil(sqrt(n)) = floor(sqrt(n - 1)) + 1 for n >= 1, again from
+        ``isqrt_floor``.  The lower end is monotone in the interval; the
+        upper end is not, since a wider interval may take the tighter
+        ceiling root.
 
         Raises ``OutsideDomain`` when the interval lies below zero; the
         radicand is then certified negative, and the real layer refuses
@@ -213,8 +213,7 @@ class Interval:
             d = scaled_quotient(n_hi - n_lo, 2 * r, 0, up=True)
             if d * d <= r:
                 return from_ints(r, r + 1 + d, -k)
-        t, rem = isqrt_rem(n_hi)
-        return from_ints(r, t + (rem > 0), -k)
+        return from_ints(r, isqrt_floor(n_hi - 1) + 1 if n_hi else 0, -k)
 
     # -- rounding -----------------------------------------------------
 

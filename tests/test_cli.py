@@ -13,41 +13,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactreal.cli import main
-from exactreal.creal import bits_for_digits, to_decimal
+from exactreal.creal import CReal, bits_for_digits, to_decimal
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted, ParseError
-from exactreal.expr import Call, Num, evaluate, parse
+from exactreal.expr import evaluate, parse
 from exactreal.interval import Interval
 from exactreal import algorithms, cli
 from exactreal.kleenean import DEFAULT_BUDGET, LazyKleenean, current_budget, effort_budget
 
 
-def num(value) -> Num:
-    return Num(Fraction(value))
+def shape(node):
+    """A parsed node as nested tuples: a literal stays its Fraction, and a
+    Call becomes (name, *the shapes of its arguments)."""
+    if isinstance(node, Fraction):
+        return node
+    return (node.name, *map(shape, node.args))
 
 
-X, PI = Call("x", ()), Call("pi", ())
+X, PI = ("x",), ("pi",)
 
 
 class TestParse:
     def test_benchmark_formula(self):
-        ast = parse("max(0, pi - pi)")
-        assert ast == Call("max", (num(0), Call("-", (PI, PI))))
+        assert shape(parse("max(0, pi - pi)")) == ("max", 0, ("-", PI, PI))
+
+    def test_repeated_subtree_is_one_node(self):
+        a, b = parse("pi - pi").args
+        assert a is b
+        a, b = parse("6 + 6.0").args
+        assert a is b
+        left, right = parse("(6 + (pi - pi)) - (6 + (pi - pi))").args
+        assert left is right
+        assert left.args[1].args[0] is left.args[1].args[1]
 
     def test_quadratic_formula(self):
-        ast = parse("x*(2-x)-0.5")
-        assert ast == Call(
-            "-", (Call("*", (X, Call("-", (num(2), X)))), num(Fraction(1, 2)))
+        assert shape(parse("x*(2-x)-0.5")) == (
+            "-", ("*", X, ("-", 2, X)), Fraction(1, 2)
         )
 
     def test_precedence_and_unary_minus(self):
-        assert parse("1+2*3") == Call("+", (num(1), Call("*", (num(2), num(3)))))
-        assert parse("-x/2") == Call("/", (Call("neg", (X,)), num(2)))
-        assert parse("2*-3") == Call("*", (num(2), Call("neg", (num(3),))))
-        assert parse("-(1+2)*3") == Call(
-            "*", (Call("neg", (Call("+", (num(1), num(2))),)), num(3))
-        )
-        assert parse("--2") == Call("neg", (Call("neg", (num(2),)),))
+        assert shape(parse("1+2*3")) == ("+", 1, ("*", 2, 3))
+        assert shape(parse("-x/2")) == ("/", ("neg", X), 2)
+        assert shape(parse("2*-3")) == ("*", 2, ("neg", 3))
+        assert shape(parse("-(1+2)*3")) == ("*", ("neg", ("+", 1, 2)), 3)
+        assert shape(parse("--2")) == ("neg", ("neg", 2))
 
     def test_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -93,23 +102,23 @@ class TestParse:
         assert str(err.value) == message
 
 
-# Random trees over every operation but x's binding, and their source text
-# with the fewest parentheses the grammar needs and with a pair around
-# every operator.
+# Random tree shapes over every operation but x's binding, and their
+# source text with the fewest parentheses the grammar needs and with a
+# pair around every operator.
 _LITERALS = st.builds(
-    lambda n, k: num(Fraction(n, 10**k)), st.integers(0, 10**7), st.integers(0, 4)
+    lambda n, k: Fraction(n, 10**k), st.integers(0, 10**7), st.integers(0, 4)
 )
 _TREES = st.recursive(
     st.one_of(_LITERALS, st.just(X), st.just(PI)),
     lambda children: st.one_of(
         st.builds(
-            lambda op, a, b: Call(op, (a, b)), st.sampled_from("+-*/"), children, children
+            lambda op, a, b: (op, a, b), st.sampled_from("+-*/"), children, children
         ),
         st.builds(
-            lambda name, a: Call(name, (a,)), st.sampled_from(["neg", "abs", "sqrt"]), children
+            lambda name, a: (name, a), st.sampled_from(["neg", "abs", "sqrt"]), children
         ),
         st.builds(
-            lambda name, a, b: Call(name, (a, b)),
+            lambda name, a, b: (name, a, b),
             st.sampled_from(["max", "csqrt"]),
             children,
             children,
@@ -122,7 +131,7 @@ _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 def _level(node) -> int:
     """How tightly a node's text binds: anything but + - * / is an atom."""
-    return _LEVEL.get(node.name, 3) if isinstance(node, Call) else 3
+    return _LEVEL.get(node[0], 3) if isinstance(node, tuple) else 3
 
 
 def _literal(value: Fraction) -> str:
@@ -135,35 +144,36 @@ def _literal(value: Fraction) -> str:
 
 
 def _render(node, full: bool) -> str:
-    """Source text of a tree: with a pair of parentheses around every
+    """Source text of a tree shape: with a pair of parentheses around every
     operator when ``full``, else only where precedence or the left
     associativity of + - * / needs one."""
-    if isinstance(node, Num):
-        return _literal(node.value)
-    if not node.args:
-        return node.name
-    args = [_render(a, full) for a in node.args]
-    if node.name == "neg":
+    if isinstance(node, Fraction):
+        return _literal(node)
+    name, *children = node
+    if not children:
+        return name
+    args = [_render(a, full) for a in children]
+    if name == "neg":
         if full:
             return f"(-{args[0]})"
-        return f"-({args[0]})" if _level(node.args[0]) < 3 else f"-{args[0]}"
-    if node.name not in _LEVEL:
-        return f"{node.name}({', '.join(args)})"
+        return f"-({args[0]})" if _level(children[0]) < 3 else f"-{args[0]}"
+    if name not in _LEVEL:
+        return f"{name}({', '.join(args)})"
     if full:
-        return f"({args[0]} {node.name} {args[1]})"
-    level = _LEVEL[node.name]
+        return f"({args[0]} {name} {args[1]})"
+    level = _LEVEL[name]
     # the right operand needs a pair at the operator's own level too
-    for i, child in enumerate(node.args):
+    for i, child in enumerate(children):
         if _level(child) < level + i:
             args[i] = f"({args[i]})"
-    return f"{args[0]} {node.name} {args[1]}"
+    return f"{args[0]} {name} {args[1]}"
 
 
 @settings(max_examples=300, deadline=None)
 @given(_TREES)
 def test_rendered_tree_parses_back(tree):
-    assert parse(_render(tree, full=False)) == tree
-    assert parse(_render(tree, full=True)) == tree
+    assert shape(parse(_render(tree, full=False))) == tree
+    assert shape(parse(_render(tree, full=True))) == tree
 
 
 class TestEvaluate:
@@ -189,9 +199,33 @@ class TestEvaluate:
         assert calls == 0
 
     def test_with_variable(self):
-        from exactreal.creal import CReal
-
         self.check("x*(2-x)", Fraction(3, 4), env={"x": CReal.from_fraction(Fraction(1, 2))})
+
+    def test_doubled_tree_is_one_node_per_level(self, monkeypatch):
+        src = "2"
+        for _ in range(12):
+            src = f"({src}+{src})"
+        root = parse(src)
+        seen, todo = set(), [root]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(getattr(node, "args", ()))
+        assert len(seen) == 13
+        # as a tree it has 8,191 nodes, and made a CReal of each
+        made = 0
+        init = CReal.__init__
+
+        def counted(self, fn):
+            nonlocal made
+            made += 1
+            init(self, fn)
+
+        monkeypatch.setattr(CReal, "__init__", counted)
+        value = evaluate(root)
+        assert made == 13
+        assert to_decimal(value, 5) == "8192.00000"
 
     def test_unbound_variable(self):
         with pytest.raises(ParseError):
@@ -236,6 +270,26 @@ class TestScopedBudget:
         assert "effort budget 64 exhausted" in str(err.value)
 
 
+# A branch point through a zero hidden behind repeated subtrees, as in
+# the benchmark's hidden-zero probe.
+_Z = "(6+(pi-pi))-(6+(pi-pi))"
+HIDDEN_ZERO = f"csqrt(sqrt(sqrt({_Z}) - sqrt({_Z})), pi - pi)"
+
+
+@pytest.fixture
+def pi_requests(monkeypatch):
+    """The accuracy of every pi interval computed, in order."""
+    asked = []
+    pi_interval = algorithms._pi_interval
+
+    def counted(n):
+        asked.append(n)
+        return pi_interval(n)
+
+    monkeypatch.setattr(algorithms, "_pi_interval", counted)
+    return asked
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -274,11 +328,16 @@ class TestCli:
         # printed within 10**-digits of pi; the oracle is its floor
         assert abs(int(Decimal(whole + frac)) - oracle) <= 2
 
-    def test_eval_division_by_hidden_zero_exits_2(self, capsys):
+    def test_eval_division_by_hidden_zero_exits_2(self, capsys, pi_requests):
         # the divisor's interval at 16k bits must not be formatted
         code, _, err = self.run(capsys, "eval", "1/(pi-pi)", "--budget", "16384")
         assert code == 2
-        assert "16384" in err and len(err.splitlines()) == 1
+        assert err == (
+            "effort exhausted: effort budget 16384 exhausted while refining a difference\n"
+        )
+        # pi - pi is one pi node minus itself: seven accuracies of one pi,
+        # where two pi leaves made fourteen intervals
+        assert len(pi_requests) == len(set(pi_requests)) == 7
 
     def test_eval_sqrt_of_negative_exits_2(self, capsys):
         # the radicand is certified negative at the first working precision
@@ -288,25 +347,24 @@ class TestCli:
         assert code == 2
         assert err.startswith("effort exhausted") and len(err.splitlines()) == 1
 
-    def test_hidden_zero_asks_pi_at_few_bits(self, capsys, monkeypatch):
+    def test_hidden_zero_asks_pi_at_few_bits(self, capsys, pi_requests):
         # a branch point hidden behind three nested roots: each root asks
         # its radicand at about twice the bits, so 2**3, times 2 of slack
-        asked = []
-        pi_interval = algorithms._pi_interval
-
-        def counted(n):
-            asked.append(n)
-            return pi_interval(n)
-
-        monkeypatch.setattr(algorithms, "_pi_interval", counted)
-        z = "(6+(pi-pi))-(6+(pi-pi))"
-        src = f"csqrt(sqrt(sqrt({z}) - sqrt({z})), pi - pi)"
-        code, out, _ = self.run(capsys, "eval", src, "--digits", "40")
+        code, out, _ = self.run(capsys, "eval", HIDDEN_ZERO, "--digits", "40")
         assert code == 0
         assert out.split() == ["0." + "0" * 40] * 2
         bits = bits_for_digits(40)
         assert bits == 135
-        assert max(asked) <= 16 * bits
+        assert max(pi_requests) <= 16 * bits
+
+    def test_hidden_zero_computes_its_one_pi_once_per_precision(self, capsys, pi_requests):
+        # the text holds ten pi leaves; as a tree they asked for 160 pi
+        # intervals at this size, and shared they are one pi node, asked
+        # once per accuracy
+        code, out, _ = self.run(capsys, "eval", HIDDEN_ZERO, "--digits", "2560")
+        assert code == 0
+        assert out.split() == ["0." + "0" * 2560] * 2
+        assert len(pi_requests) == len(set(pi_requests)) == 17
 
     @pytest.mark.parametrize(
         "argv",
@@ -581,6 +639,15 @@ class TestCli:
         assert rejects("sqrt2", above_sqrt2, 20)
         # and accepts the floor oracle's own bracket
         assert not rejects("sqrt2", Interval(Dyadic(r, -20), Dyadic(r + 1, -20)), 20)
+
+    def test_exact_rule_measures_the_width_itself(self, monkeypatch):
+        # a width test that passes everything: the rule must not trust it
+        monkeypatch.setattr(Interval, "width_at_most", lambda self, n: True)
+        r = isqrt(2 << 40)
+        p = cli._BENCH_ROWS["sqrt2"][2]
+        # two ulps of 2**-20 around sqrt(2): the root is inside, the width is not
+        assert not cli._verified(Interval(Dyadic(r, -20), Dyadic(r + 2, -20)), 20, p)
+        assert cli._verified(Interval(Dyadic(r, -20), Dyadic(r + 1, -20)), 20, p)
 
     def test_bench_all_rows_verify_at_small_bits(self, capsys):
         code, out, _ = self.run(capsys, "bench", "--bits", "150")

@@ -3,7 +3,8 @@
 The ``audit`` fixture wraps ``CReal.approx`` and checks each answer of
 each node, inner nodes included, against the contract:
 
-- it is at most ``2**-max(p, 0)`` wide;
+- it is at most ``2**-max(p, 0)`` wide, by the exact difference of its
+  ends as Fractions rather than the library's own width test;
 - it meets the intersection of that node's earlier answers.  Every
   answer contains the value, so on a sound node the intersection is
   never empty; a limit that switched candidates empties it as soon as
@@ -22,9 +23,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from exactreal import algorithms, cli
-from exactreal.algorithms import Complex, csqrt, ivt_trisect
+from exactreal.algorithms import Complex, csqrt, ivt_trisect, real_sqrt
 from exactreal.creal import CReal
+from exactreal.expr import evaluate, parse
 
+from test_cli import HIDDEN_ZERO
 from test_fuzz import render, run_eval, short_expressions
 
 # pi within 2**(2 - prec) of mpmath's value at prec bits, far above
@@ -49,7 +52,7 @@ def contains_pi(iv) -> bool:
 
 class Audit:
     def __init__(self):
-        # node -> the intersection (lo, hi) of its answers so far; keyed
+        # node -> the exact intersection (lo, hi) of its answers so far; keyed
         # by the node itself, which stays alive, so no id is reused
         self.meet = {}
         # node -> a predicate that each of its answers must satisfy
@@ -62,11 +65,12 @@ class Audit:
 
     def check(self, node: CReal, p: int, iv):
         self.answers += 1
-        assert iv.width_at_most(max(p, 0)), f"approx({p}) = {iv} is too wide"
-        lo, hi = self.meet.get(node, (iv.lo, iv.hi))
-        lo, hi = max(lo, iv.lo), min(hi, iv.hi)
-        assert lo <= hi, f"approx({p}) = {iv} misses the node's earlier answers"
-        self.meet[node] = lo, hi
+        lo, hi = ends(iv)
+        assert hi - lo <= Fraction(1, 1 << max(p, 0)), f"approx({p}) = {iv} is too wide"
+        meet_lo, meet_hi = self.meet.get(node, (lo, hi))
+        meet_lo, meet_hi = max(meet_lo, lo), min(meet_hi, hi)
+        assert meet_lo <= meet_hi, f"approx({p}) = {iv} misses the node's earlier answers"
+        self.meet[node] = meet_lo, meet_hi
         if node._fn is algorithms._pi_interval:
             assert contains_pi(iv), f"approx({p}) = {iv} misses pi"
         holds = self.oracles.get(node)
@@ -113,6 +117,48 @@ def test_bench_rows(audit, row, bits):
     node = audit.expect(build(), brackets_root(poly))
     for p in [*LADDER, bits]:
         node.approx(p)
+
+
+# sqrt(1/m**3) and m*sqrt(2) for m up to 2**10, every 16th: below 40 bits
+# many of their answers come within a bit of 2**-p wide, where a width
+# test one bit too loose lets answers up to 1.25 * 2**-p through
+ROOTS = {
+    "sqrt(1/m^3)": (lambda m: real_sqrt(Fraction(1, m**3)), lambda m: lambda x: x * x * m**3 - 1),
+    "m*sqrt(2)": (lambda m: real_sqrt(2) * m, lambda m: lambda x: x * x - 2 * m * m),
+}
+
+
+@pytest.mark.parametrize("row", list(ROOTS))
+def test_roots_next_to_the_width_bound(audit, row):
+    build, poly = ROOTS[row]
+    for m in range(1, 2**10 + 1, 16):
+        node = audit.expect(build(m), brackets_root(poly(m)))
+        for p in range(40):
+            node.approx(p)
+
+
+# Expressions with repeated subtrees, each parsed to one node that
+# answers every parent sharing it, and the exact parts of their values.
+SHARED = {
+    "sqrt(2) - sqrt(2)": (0,),
+    "(pi - 0.1) / (pi - 0.1)": (1,),
+    "abs(sqrt(3) - sqrt(3)) + sqrt(3) * sqrt(3)": (3,),
+    "max(1/3, 0.3) * 3 - max(1/3, 0.3) * 3": (0,),
+    "csqrt(0.1, 3) * csqrt(0.1, 3)": (Fraction(1, 10), 3),
+    "csqrt(0 - 4, pi - pi) * csqrt(0 - 4, pi - pi)": (-4, 0),
+    HIDDEN_ZERO: (0, 0),
+}
+
+
+@pytest.mark.parametrize("src", list(SHARED))
+def test_shared_subtrees(audit, src):
+    value = evaluate(parse(src))
+    parts = (value.re, value.im) if isinstance(value, Complex) else (value,)
+    for part, exact in zip(parts, SHARED[src], strict=True):
+        audit.expect(part, contains(Fraction(exact)))
+    for p in LADDER:
+        for part in parts:
+            part.approx(p)
 
 
 @settings(

@@ -2,7 +2,7 @@
 
 import time
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -270,6 +270,22 @@ def test_sqrt_exact_squares(k):
         assert root.contains_interval(iv(lo, hi))
         assert root.lo >= dyadic(lo) - 2 * step
         assert root.hi <= dyadic(hi) + 2 * step
+
+
+@given(st.integers(0, 3), st.integers(3, 2**2000), st.integers(-1, 1), st.integers(0, 80))
+@example(0, 3, 0, 0)  # 9: a perfect square
+@example(0, 2**1000, 0, 5)  # a square past the Karatsuba split
+@example(0, 3, -1, 0)  # 8
+def test_sqrt_fallback_upper_end_is_the_ceiling_root(a, t, delta, k):
+    """n_lo = a and n_hi = t**2 + delta on the 4**-k grid: with r at most
+    1 and n_hi at least three steps above n_lo, the tangent is refused,
+    and the upper end is exactly the ceiling root of n_hi."""
+    n_hi = t * t + delta
+    root = interval_module.from_ints(a, n_hi, -2 * k).sqrt(k)
+    s = isqrt(n_hi)
+    assert root.hi == Dyadic(s + (s * s < n_hi), -k)
+    assert root.lo == Dyadic(isqrt(a), -k)
+    assert interval_module.from_ints(0, 0, -2 * k).sqrt(k) == iv(0, 0)
 
 
 def test_sqrt_of_negative_interval_raises():
