@@ -4,8 +4,10 @@ A ``CReal`` maps a requested accuracy ``p`` to a dyadic interval of
 width at most ``2**-p`` containing the represented value.  Arithmetic
 is precision iteration: operands are evaluated at geometrically
 increasing internal accuracy until the combined interval meets the
-requested width.  Comparison is semi-decidable and returns a lazy
-Kleenean; equality on the diagonal stays bottom forever.
+requested width; a product with an exact operand, or a quotient by
+one, instead scales the other operand's interval once.  Comparison is
+semi-decidable and returns a lazy Kleenean; equality on the diagonal
+stays bottom forever.
 """
 
 from __future__ import annotations
@@ -35,18 +37,70 @@ from .kleenean import (
 )
 
 
-def _operator(combine, what: str):
+def _operator(combine, what: str, scalar=None):
     """CReal's ``x op y`` and its reflected form ``y op x``: each
-    coerces both operands and builds one ``_binary`` node."""
+    coerces both operands and builds one node, ``scalar(x, y, what)``'s
+    when it returns one, else a ``_binary`` node."""
 
     def method(x, y):
         try:
             x, y = CReal._coerce(x), CReal._coerce(y)
         except TypeError:
             return NotImplemented
+        if scalar is not None and (node := scalar(x, y, what)) is not None:
+            return node
         return _binary(x, y, combine, what)
 
     return method, lambda x, y: method(y, x)
+
+
+def _by_factor(x: CReal, y: CReal, what: str) -> CReal | None:
+    """``x * y`` as one ``_scaled`` node when one operand is exact and
+    the other is not; None otherwise."""
+    if type(x) is _Exact:
+        x, y = y, x
+    if type(y) is _Exact and type(x) is not _Exact:
+        return _scaled(x, *y.ratio, what)
+    return None
+
+
+def _by_divisor(x: CReal, y: CReal, what: str) -> CReal | None:
+    """``x / y`` as one ``_scaled`` node by 1/y when only y is exact and
+    it is not zero; None otherwise, so that a zero divisor is refined
+    until the budget as before."""
+    if type(y) is _Exact and type(x) is not _Exact:
+        num, den, shift = y.ratio
+        if num:
+            return _scaled(x, den if num > 0 else -den, abs(num), -shift, what)
+    return None
+
+
+def _scaled(x: CReal, num: int, den: int, shift: int, what: str) -> CReal:
+    """``x * num/den * 2**shift`` for den > 0, as a node that asks x
+    once, multiplies both ends by num and rounds each outward onto the
+    2**-(p+2) grid by one ``scaled_quotient`` by the odd part of den,
+    a shift when den is a power of two.  With den odd, |num/den *
+    2**shift| < 2**g for g = len(num) - len(den) + 1 + shift, so x at
+    p + 2 + max(0, g) bits scales to a width below 2**-(p+2), and the
+    two roundings add less than 2**-(p+1)."""
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    shift -= twos
+    extra = 2 + max(0, num.bit_length() - den.bit_length() + 1 + shift)
+
+    def fn(p: int) -> Interval:
+        q = p + extra
+        if q > current_budget():
+            raise EffortExhausted(current_budget(), what)
+        iv = x.approx(q)
+        a, b = iv.a * num, iv.b * num
+        if num < 0:
+            a, b = b, a
+        s = iv.e + shift + p + 2
+        lo = scaled_quotient(a, den, s, up=False)
+        return from_ints(lo, scaled_quotient(b, den, s, up=True), -(p + 2))
+
+    return CReal(fn)
 
 
 class CReal:
@@ -78,26 +132,29 @@ class CReal:
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def from_dyadic(cls, d: Dyadic) -> "CReal":
-        node = cls(None)
+    @staticmethod
+    def from_dyadic(d: Dyadic) -> "CReal":
+        node = _Exact(None)
         node._best_p, node._best = inf, Interval.point(d)
+        node.ratio = d.mantissa, 1, d.exponent
         return node
 
-    @classmethod
-    def from_fraction(cls, fr: int | Fraction) -> "CReal":
-        """An exact leaf when the denominator is a power of two, else a
-        leaf of one floor division per precision."""
+    @staticmethod
+    def from_fraction(fr: int | Fraction) -> "CReal":
+        """An exact leaf: cached at every accuracy when the denominator
+        is a power of two, else one floor division per precision."""
         num, den = fr.numerator, fr.denominator
         if not den & (den - 1):
-            return cls.from_dyadic(Dyadic(num, 1 - den.bit_length()))
+            return CReal.from_dyadic(Dyadic(num, 1 - den.bit_length()))
 
         def fn(p: int) -> Interval:
             k = p + 2
             lo = scaled_quotient(num, den, k, up=False)
             return from_ints(lo, lo + 1, -k)
 
-        return cls(fn)
+        node = _Exact(fn)
+        node.ratio = num, den, 0
+        return node
 
     # -- arithmetic ---------------------------------------------------
 
@@ -114,9 +171,9 @@ class CReal:
 
     __add__, __radd__ = _operator(lambda a, b, q: a + b, "refining a sum")
     __sub__, __rsub__ = _operator(lambda a, b, q: a - b, "refining a difference")
-    __mul__, __rmul__ = _operator(lambda a, b, q: a * b, "refining a product")
+    __mul__, __rmul__ = _operator(lambda a, b, q: a * b, "refining a product", _by_factor)
     __truediv__, __rtruediv__ = _operator(
-        lambda a, b, q: a.div(b, q + 2), "refining a quotient"
+        lambda a, b, q: a.div(b, q + 2), "refining a quotient", _by_divisor
     )
 
     def __neg__(self):
@@ -129,15 +186,28 @@ class CReal:
         return CReal(lambda p: self.approx(max(0, p + k)).scale2(k))
 
 
+class _Exact(CReal):
+    """An exact leaf, as ``from_dyadic`` and ``from_fraction`` build
+    it: its value is ``num / den * 2**shift`` for ``ratio = (num, den,
+    shift)``, den > 0, so that a product or quotient with it can scale
+    the other operand's interval instead of multiplying or dividing two
+    intervals."""
+
+    __slots__ = ("ratio",)
+
+
 def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
     """The refinement node of every binary operation and of the unary
     interval primitives (``y`` None): square root and absolute value.
     Precision iteration asks the operands at doubling working precision
     q and combines their intervals until the result is tight enough,
     then rounds onto the 2**-(p+2) grid to keep mantissas bounded.  A
-    divisor that straddles zero is retried at the next q; an operand
-    certified outside the domain (a negative radicand) is refused at
-    once, since no higher q can bring it back."""
+    divisor that straddles zero is retried at the next q, and when an
+    operand runs out of budget right after such a retry the quotient is
+    named as the cause;
+    an operand certified outside the domain (a negative radicand) is
+    refused at once, since no higher q can bring it back."""
+    straddled = False
     for q in _efforts(p + 4, p + 4, what):
         try:
             # Right operand first: in a Heron step (h + x/h)/2 the quotient
@@ -145,11 +215,16 @@ def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
             # first leaves the sum's request to h to hit h's cache.
             b = None if y is None else y.approx(q)
             iv = combine(x.approx(q), b, q)
+            straddled = False
             if iv.width_at_most(p + 1):
                 return iv.round_out_grid(p + 2)
         except DivisorStraddlesZero:
-            pass
+            straddled = True
         except OutsideDomain:
+            raise EffortExhausted(current_budget(), what) from None
+        except EffortExhausted:
+            if not straddled:
+                raise
             raise EffortExhausted(current_budget(), what) from None
 
 
@@ -261,15 +336,27 @@ def to_decimal(x, digits: int) -> str:
     if bits >= _EXP_LIMIT:
         raise ExponentOverflow(f"{digits} digits need {bits} bits, past the exponent range")
     iv = CReal._coerce(x).approx(bits)
-    # n = midpoint * 10**digits = (a + b) * 5**digits * 2**(e - 1 +
-    # digits), rounded half up to an integer by one shift
-    scaled = (iv.a + iv.b) * 5**digits
-    shift = iv.e - 1 + digits
-    if shift >= 0:
-        n = scaled << shift
-    else:
-        n = (scaled + (1 << (-shift - 1))) >> -shift
-    return decimal_string(n, digits)
+    # n = midpoint * 10**digits = X * 5**digits / 2**s for X = a + b
+    # and s = 1 - e - digits, rounded half up to an integer
+    total, s = iv.a + iv.b, 1 - iv.e - digits
+    if s <= 0:
+        return decimal_string(total * 5**digits << -s, digits)
+    # |n| = top * 10**h + low with 0 <= low < 10**h, from P = |X| *
+    # 5**(digits - h): P = T 2**(s+h) + R gives |X| 5**digits = T 10**h
+    # 2**s + R 5**h, so top = T and low = (R 5**h + half) >> s, which
+    # may reach 10**h once; half rounds ties up, toward zero for X < 0
+    h = digits // 2
+    five_h = 5**h
+    scaled = abs(total) * (five_h if 2 * h == digits else 5 * five_h)
+    top = scaled >> (s + h)
+    half = (1 << (s - 1)) - (total < 0)
+    low = ((scaled & ((1 << (s + h)) - 1)) * five_h + half) >> s
+    if low >> h >= five_h:
+        top, low = top + 1, low - (five_h << h)
+    text = decimal_string(top, digits - h)
+    if h:
+        text += decimal_string(low).rjust(h, "0")
+    return "-" + text if total < 0 and (top or low) else text
 
 
 ZERO_REAL = CReal.from_dyadic(ZERO)

@@ -35,7 +35,9 @@ _DECIMAL_CHUNK = 1000
 def decimal_string(n: int, point: int = 0) -> str:
     """``n * 10**-point`` in decimal, with ``point`` digits after the
     point, for an int ``n`` of any size: split in halves by one power
-    of ten until ``str`` may convert each part."""
+    of ten until ``str`` may convert each part.  The split divides
+    ``n >> k`` by 5**k, a divisor 30 % shorter than 10**k, and puts
+    the k low bits back under the remainder."""
     if n < 0:
         return "-" + decimal_string(-n, point)
     if point:
@@ -45,7 +47,8 @@ def decimal_string(n: int, point: int = 0) -> str:
     if digits <= _DECIMAL_CHUNK:
         return str(n)
     k = digits // 2
-    hi, lo = divmod(n, 10**k)
+    hi, lo = divmod(n >> k, 5**k)
+    lo = (lo << k) | (n & ((1 << k) - 1))
     return decimal_string(hi) + decimal_string(lo).rjust(k, "0")
 
 

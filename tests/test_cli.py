@@ -198,6 +198,24 @@ class TestEvaluate:
         self.check("4.73", Fraction(473, 100), p=1000)
         assert calls == 0
 
+    def test_literal_factor_and_divisor_scale_without_interval_arithmetic(
+        self, monkeypatch
+    ):
+        # an exact operand scales the other one's interval ends: no
+        # interval product and no interval quotient
+        calls = []
+        for name in ("__mul__", "div"):
+            original = getattr(Interval, name)
+            monkeypatch.setattr(
+                Interval, name, lambda *args, f=original: calls.append(f) or f(*args)
+            )
+        iv = evaluate(parse("sqrt(2) * 3.7 / 7")).approx(2000)
+        assert calls == []
+        assert iv.width() <= Dyadic(1, -2000)
+        # sqrt(2) * 37/70 squared is 2 * 37**2 / 70**2
+        lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
+        assert lo * lo <= Fraction(2 * 37**2, 70**2) <= hi * hi
+
     def test_with_variable(self):
         self.check("x*(2-x)", Fraction(3, 4), env={"x": CReal.from_fraction(Fraction(1, 2))})
 
@@ -332,8 +350,10 @@ class TestCli:
         # the divisor's interval at 16k bits must not be formatted
         code, _, err = self.run(capsys, "eval", "1/(pi-pi)", "--budget", "16384")
         assert code == 2
+        # the quotient, whose divisor never left zero, is named as the
+        # cause, not the difference that was asked past the budget
         assert err == (
-            "effort exhausted: effort budget 16384 exhausted while refining a difference\n"
+            "effort exhausted: effort budget 16384 exhausted while refining a quotient\n"
         )
         # pi - pi is one pi node minus itself: seven accuracies of one pi,
         # where two pi leaves made fourteen intervals

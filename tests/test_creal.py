@@ -1,7 +1,7 @@
 """Exact reals: accuracy contract, comparison, limits, rounding."""
 
 import random
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -21,7 +21,7 @@ from exactreal.creal import (
 )
 from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted
-from exactreal.interval import Interval
+from exactreal.interval import Interval, from_ints
 from exactreal.kleenean import (
     BOTTOM,
     TRUE,
@@ -147,8 +147,15 @@ class TestInexactOperands:
         (lambda x: real_max(x, x), "a maximum"),
         (real_abs, "an absolute value"),
         (real_sqrt, "a square root"),
+        # an exact operand scales the other one: x * 3 asks |x| at 66 bits,
+        # and x / 0.25 at 67
+        (lambda x: real_abs(x) * 3, "a product"),
+        (lambda x: real_abs(x) / Fraction(1, 4), "a quotient"),
     ],
-    ids=["sum", "difference", "product", "quotient", "maximum", "abs", "sqrt"],
+    ids=[
+        "sum", "difference", "product", "quotient", "maximum", "abs", "sqrt",
+        "scaled-product", "scaled-quotient",
+    ],
 )
 def test_budget_message_names_the_node(build, what):
     # 62 bits pass the node's own check; its first working precision,
@@ -207,6 +214,19 @@ class TestArithmetic:
         assert asked == [14, 28, 56, 112, 224, 448, 896, 1000]
         assert "exhausted while refining a quotient" in str(err.value)
 
+    def test_dividend_past_the_budget_after_the_divisor_separated(self):
+        # the divisor 2**-10 straddles zero below 16 bits and is apart from
+        # it from 16 on; the dividend asks a leaf at 4q bits, past the
+        # budget once q reaches 32, so its own message is the cause
+        third = CReal.from_fraction(Fraction(1, 3))
+        x = CReal(lambda q: third.approx(4 * q))
+        y = CReal(
+            lambda q: from_ints(-1, 1, -q - 1) if q < 16 else from_ints((1 << q - 10) - 1, 1 << q - 10, -q)
+        )
+        with effort_budget(64), pytest.raises(EffortExhausted) as err:
+            (x / y).approx(0)
+        assert str(err.value) == "effort budget 64 exhausted while refining to 128 bits"
+
     def test_exact_leaves_need_no_budget(self):
         with effort_budget(0):
             assert CReal.from_fraction(2).approx(1000) == Interval.point(Dyadic(2))
@@ -238,6 +258,74 @@ class TestArithmetic:
     def test_scale2(self):
         x = (CReal.from_fraction(1) / 3).scale2(4)
         assert in_interval(x.approx(30), Fraction(16, 3))
+
+
+def blurred(value: Fraction) -> CReal:
+    """An inexact real equal to ``value`` whose answer at p is a full
+    2**-p wide and off the grid a node rounds onto: [lo, lo + 8] *
+    2**-(p+3), with value p % 8 steps above lo."""
+
+    def fn(p: int) -> Interval:
+        lo = floor(value * 2 ** (p + 3)) - p % 8
+        return Interval(Dyadic(lo, -(p + 3)), Dyadic(lo + 8, -(p + 3)))
+
+    return CReal(fn)
+
+
+huge = st.integers(min_value=-(10**200), max_value=10**200)
+powers_of_two = st.builds(
+    lambda k, sign: sign * Fraction(2) ** k,
+    st.integers(min_value=-300, max_value=300),
+    st.sampled_from([1, -1]),
+)
+exact_scalars = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -7, Fraction(0), Dyadic(0), Fraction(-37, 10)]),
+    huge,
+    st.builds(Fraction, huge, st.integers(min_value=1, max_value=10**200)),
+    rationals,
+    powers_of_two,
+    powers_of_two.map(lambda fr: Dyadic(fr.numerator, 1 - fr.denominator.bit_length())),
+    st.builds(
+        Dyadic,
+        st.integers(min_value=-(1 << 700), max_value=1 << 700),
+        st.integers(min_value=-300, max_value=300),
+    ),
+)
+
+
+class TestExactScalars:
+    """A product or quotient with one exact operand, an int, a Fraction,
+    a Dyadic or an exact leaf, scales the other operand's interval."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        rationals,
+        st.booleans(),
+        exact_scalars,
+        st.booleans(),
+        st.integers(min_value=0, max_value=300),
+    )
+    def test_scaled_values_contain_the_value(self, a, x_exact, q, leaf, p):
+        x = CReal.from_fraction(a) if x_exact else blurred(a)
+        value = q.to_fraction() if isinstance(q, Dyadic) else Fraction(q)
+        if leaf:
+            q = CReal.from_dyadic(q) if isinstance(q, Dyadic) else CReal.from_fraction(q)
+        checks = [(x * q, a * value), (q * x, a * value)]
+        if value:
+            checks.append((x / q, a / value))
+        for real, exact in checks:
+            iv = real.approx(p)
+            assert in_interval(iv, exact)
+            assert iv.width() <= Dyadic(1, -p)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), Dyadic(0), "leaf"])
+    @pytest.mark.parametrize("x_exact", [True, False])
+    def test_division_by_exact_zero_exhausts_budget(self, zero, x_exact):
+        x = CReal.from_fraction(Fraction(1, 3)) if x_exact else blurred(Fraction(1, 3))
+        zero = CReal.from_fraction(0) if zero == "leaf" else zero
+        with effort_budget(512), pytest.raises(EffortExhausted) as err:
+            (x / zero).approx(5)
+        assert str(err.value) == "effort budget 512 exhausted while refining a quotient"
 
 
 class TestComparison:
@@ -417,6 +505,17 @@ def rounded_midpoint(iv: Interval, digits: int) -> int:
     return floor(mid * 10**digits + Fraction(1, 2))
 
 
+def one_shift_text(iv: Interval, digits: int) -> str:
+    """The printed value by the rule ``to_decimal`` had before it split
+    the printed integer: n = round half up of (a + b) * 5**digits *
+    2**(e - 1 + digits) by one shift, formatted by ``decimal``."""
+    n = (iv.a + iv.b) * 5**digits
+    shift = iv.e - 1 + digits
+    n = n << shift if shift >= 0 else (n + (1 << (-shift - 1))) >> -shift
+    exact = Context(prec=n.bit_length() // 3 + 10)  # more digits than n has
+    return format(Decimal(n).scaleb(-digits, exact), "f")
+
+
 def decimal_cases(digits: int):
     rng = random.Random(digits)
     bits = 3322 * digits // 1000 + 3
@@ -428,15 +527,30 @@ def decimal_cases(digits: int):
         # midpoints exactly half a unit of the last place off a decimal
         half = Dyadic(sign * (2 * rng.getrandbits(20) + 1) * 5 ** (digits + 1), -(digits + 1))
         yield Interval.point(half)
+        yield Interval.point(Dyadic(sign, -(digits + 1)))
+        # values that round to zero, and the smallest that do not
+        tiny = Dyadic(sign, -(bits + 2))
+        yield Interval.point(tiny)
+        yield Interval(min(tiny, -tiny), max(tiny, -tiny) + tiny)
+        # just below one: the printed integer's low half carries into the top
+        yield Interval.point(Dyadic(sign * ((1 << (bits + 2)) - 1), -(bits + 2)))
+        m = (1 << (bits + 1)) // 10**digits  # m * 2**-(bits+2) < 10**-digits / 2
+        yield Interval.point(Dyadic(sign * m, -(bits + 2)))
+        yield Interval.point(Dyadic(sign * (m + 1), -(bits + 2)))
         for _ in range(4):
             lo = Dyadic(sign * rng.getrandbits(bits + 40), -(bits + rng.randrange(-8, 60)))
             yield Interval(lo, lo + Dyadic(rng.randrange(4), lo.exponent))
+            # wider than a few units of the last place
+            yield Interval(lo, lo + Dyadic(rng.getrandbits(bits // 2 + 8), lo.exponent))
 
 
-@pytest.mark.parametrize("digits", [1, 2, 999, 1000, 1001, 5000])
+@pytest.mark.parametrize(
+    "digits", [1, 2, 3, 299, 300, 301, 999, 1000, 1001, 2400, 2401, 5000]
+)
 def test_to_decimal_is_rounded_midpoint(digits):
     for iv in decimal_cases(digits):
         text = to_decimal(CReal(lambda p, iv=iv: iv), digits)
+        assert text == one_shift_text(iv, digits), iv
         assert printed_integer(text, digits) == rounded_midpoint(iv, digits), iv
 
 
@@ -449,6 +563,22 @@ def test_to_decimal_is_rounded_midpoint_hypothesis(lo, ulps, digits):
     iv = Interval(lo, lo + Dyadic(ulps, lo.exponent))
     text = to_decimal(CReal(lambda p: iv), digits)
     assert printed_integer(text, digits) == rounded_midpoint(iv, digits)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=-8, max_value=60),
+    st.sampled_from([0, 1, 2, 3, 1 << 40]),
+    st.randoms(use_true_random=False),
+)
+def test_to_decimal_matches_the_one_shift_rule(digits, sign, extra, ulps, rng):
+    # every size up to 5,000 digits
+    bits = 3322 * digits // 1000 + 3
+    lo = Dyadic(sign * rng.getrandbits(bits + rng.randrange(-bits, 40)), -(bits + extra))
+    iv = Interval(lo, lo + Dyadic(ulps, lo.exponent))
+    assert to_decimal(CReal(lambda p: iv), digits) == one_shift_text(iv, digits)
 
 
 class TestEvaluationOrder:

@@ -368,8 +368,21 @@ class TestIntegerSquareRoot:
 class TestDecimalString:
     """Checked through int(Decimal(s)), which has no digit limit, unlike int(s)."""
 
-    @given(st.integers(-(10**4000), 10**4000))
+    @given(
+        st.one_of(
+            st.integers(-(10**4300) + 1, 10**4300 - 1),
+            # powers of two and of ten and their neighbours, whose low bits
+            # or digits are all zeros, all ones or all nines
+            st.builds(
+                lambda k, scale, offset: scale**k + offset,
+                st.integers(min_value=1, max_value=4299),
+                st.sampled_from([2, 10]),
+                st.integers(min_value=-1, max_value=1),
+            ),
+        )
+    )
     def test_matches_str_below_the_limit(self, n):
+        # 4,300 digits is the interpreter's int-to-str limit
         assert decimal_string(n) == str(n)
 
     @pytest.mark.parametrize("digits", [4_301, 10_000, 20_000, 65_536])
