@@ -303,7 +303,7 @@ def csqrt(z: Complex) -> Complex:
     def step(n: int, pinned):
         if pinned is not None:
             return pinned, pinned
-        small = less_than(nrm, CReal.from_dyadic(Dyadic(1, -2 * (n + 2))))
+        small = less_than(nrm, CReal.from_fraction(Fraction(1, 4 ** (n + 2))))
         if select(small, nonzero) is Branch.LEFT:
             return zero, None
         root = csqrt_nonzero(z)

@@ -4,8 +4,10 @@ A ``CReal`` maps a requested accuracy ``p`` to a dyadic interval of
 width at most ``2**-p`` containing the represented value.  Arithmetic
 is precision iteration: operands are evaluated at geometrically
 increasing internal accuracy until the combined interval meets the
-requested width; a product with an exact operand, or a quotient by
-one, instead scales the other operand's interval once.  Comparison is
+requested width.  Exact values enter by ``from_fraction`` alone and
+keep their ``Fraction``: a negation, sum or difference of exact leaves
+is one exact leaf, and a product with an exact operand, or a quotient
+by one, scales the other operand's interval once.  Comparison is
 semi-decidable and returns a lazy Kleenean; equality on the diagonal
 stays bottom forever.
 """
@@ -17,7 +19,7 @@ from functools import partial
 from math import inf
 from typing import Callable
 
-from .dyadic import _EXP_LIMIT, Dyadic, ZERO, decimal_string, scaled_quotient
+from .dyadic import _EXP_LIMIT, Dyadic, decimal_string, scaled_quotient
 from .errors import (
     DivisorStraddlesZero,
     EffortExhausted,
@@ -37,16 +39,20 @@ from .kleenean import (
 )
 
 
-def _operator(combine, what: str, scalar=None):
+def _operator(combine, what: str, scalar=None, fold=False):
     """CReal's ``x op y`` and its reflected form ``y op x``: each
-    coerces both operands and builds one node, ``scalar(x, y, what)``'s
-    when it returns one, else a ``_binary`` node."""
+    coerces both operands and builds one node: with ``fold``, two exact
+    leaves make the exact leaf of ``combine`` on their values; else
+    ``scalar(x, y, what)``'s node when it returns one, else a
+    ``_binary`` node."""
 
     def method(x, y):
         try:
             x, y = CReal._coerce(x), CReal._coerce(y)
         except TypeError:
             return NotImplemented
+        if fold and type(x) is _Exact and type(y) is _Exact:
+            return CReal.from_fraction(combine(x.value, y.value, None))
         if scalar is not None and (node := scalar(x, y, what)) is not None:
             return node
         return _binary(x, y, combine, what)
@@ -60,7 +66,7 @@ def _by_factor(x: CReal, y: CReal, what: str) -> CReal | None:
     if type(x) is _Exact:
         x, y = y, x
     if type(y) is _Exact and type(x) is not _Exact:
-        return _scaled(x, *y.ratio, what)
+        return _scaled(x, y.value, what)
     return None
 
 
@@ -68,25 +74,23 @@ def _by_divisor(x: CReal, y: CReal, what: str) -> CReal | None:
     """``x / y`` as one ``_scaled`` node by 1/y when only y is exact and
     it is not zero; None otherwise, so that a zero divisor is refined
     until the budget as before."""
-    if type(y) is _Exact and type(x) is not _Exact:
-        num, den, shift = y.ratio
-        if num:
-            return _scaled(x, den if num > 0 else -den, abs(num), -shift, what)
+    if type(y) is _Exact and type(x) is not _Exact and y.value:
+        return _scaled(x, 1 / y.value, what)
     return None
 
 
-def _scaled(x: CReal, num: int, den: int, shift: int, what: str) -> CReal:
-    """``x * num/den * 2**shift`` for den > 0, as a node that asks x
-    once, multiplies both ends by num and rounds each outward onto the
-    2**-(p+2) grid by one ``scaled_quotient`` by the odd part of den,
-    a shift when den is a power of two.  With den odd, |num/den *
-    2**shift| < 2**g for g = len(num) - len(den) + 1 + shift, so x at
+def _scaled(x: CReal, factor: Fraction, what: str) -> CReal:
+    """``x * factor`` as a node that asks x once, multiplies both ends
+    by the numerator and rounds each outward onto the 2**-(p+2) grid by
+    one ``scaled_quotient`` by the odd part of the denominator, a shift
+    when that part is 1.  With factor = num/den * 2**-twos and den odd,
+    |factor| < 2**g for g = len(num) - len(den) + 1 - twos, so x at
     p + 2 + max(0, g) bits scales to a width below 2**-(p+2), and the
     two roundings add less than 2**-(p+1)."""
+    num, den = factor.numerator, factor.denominator
     twos = (den & -den).bit_length() - 1
     den >>= twos
-    shift -= twos
-    extra = 2 + max(0, num.bit_length() - den.bit_length() + 1 + shift)
+    extra = 2 + max(0, num.bit_length() - den.bit_length() + 1 - twos)
 
     def fn(p: int) -> Interval:
         q = p + extra
@@ -96,7 +100,7 @@ def _scaled(x: CReal, num: int, den: int, shift: int, what: str) -> CReal:
         a, b = iv.a * num, iv.b * num
         if num < 0:
             a, b = b, a
-        s = iv.e + shift + p + 2
+        s = iv.e - twos + p + 2
         lo = scaled_quotient(a, den, s, up=False)
         return from_ints(lo, scaled_quotient(b, den, s, up=True), -(p + 2))
 
@@ -133,19 +137,11 @@ class CReal:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_dyadic(d: Dyadic) -> "CReal":
-        node = _Exact(None)
-        node._best_p, node._best = inf, Interval.point(d)
-        node.ratio = d.mantissa, 1, d.exponent
-        return node
-
-    @staticmethod
     def from_fraction(fr: int | Fraction) -> "CReal":
-        """An exact leaf: cached at every accuracy when the denominator
-        is a power of two, else one floor division per precision."""
+        """The exact leaf of ``fr``: cached at every accuracy when the
+        denominator is a power of two, else one floor division per
+        precision."""
         num, den = fr.numerator, fr.denominator
-        if not den & (den - 1):
-            return CReal.from_dyadic(Dyadic(num, 1 - den.bit_length()))
 
         def fn(p: int) -> Interval:
             k = p + 2
@@ -153,7 +149,9 @@ class CReal:
             return from_ints(lo, lo + 1, -k)
 
         node = _Exact(fn)
-        node.ratio = num, den, 0
+        node.value = Fraction(fr)
+        if not den & (den - 1):
+            node._best_p, node._best = inf, from_ints(num, num, 1 - den.bit_length())
         return node
 
     # -- arithmetic ---------------------------------------------------
@@ -164,19 +162,21 @@ class CReal:
         if isinstance(value, CReal):
             return value
         if isinstance(value, Dyadic):
-            return CReal.from_dyadic(value)
+            value = value.to_fraction()
         if isinstance(value, (int, Fraction)):
             return CReal.from_fraction(value)
         raise TypeError(f"{type(value).__name__} is not an exact real")
 
-    __add__, __radd__ = _operator(lambda a, b, q: a + b, "refining a sum")
-    __sub__, __rsub__ = _operator(lambda a, b, q: a - b, "refining a difference")
+    __add__, __radd__ = _operator(lambda a, b, q: a + b, "refining a sum", fold=True)
+    __sub__, __rsub__ = _operator(lambda a, b, q: a - b, "refining a difference", fold=True)
     __mul__, __rmul__ = _operator(lambda a, b, q: a * b, "refining a product", _by_factor)
     __truediv__, __rtruediv__ = _operator(
         lambda a, b, q: a.div(b, q + 2), "refining a quotient", _by_divisor
     )
 
     def __neg__(self):
+        if type(self) is _Exact:
+            return CReal.from_fraction(-self.value)
         return CReal(lambda p: -self.approx(p))
 
     def scale2(self, k: int) -> "CReal":
@@ -187,13 +187,12 @@ class CReal:
 
 
 class _Exact(CReal):
-    """An exact leaf, as ``from_dyadic`` and ``from_fraction`` build
-    it: its value is ``num / den * 2**shift`` for ``ratio = (num, den,
-    shift)``, den > 0, so that a product or quotient with it can scale
-    the other operand's interval instead of multiplying or dividing two
-    intervals."""
+    """An exact leaf, as ``from_fraction`` builds it, holding its
+    ``Fraction`` as ``value``, so that a product or quotient with it can
+    scale the other operand's interval instead of multiplying or
+    dividing two intervals."""
 
-    __slots__ = ("ratio",)
+    __slots__ = ("value",)
 
 
 def _refined(x: CReal, y: CReal | None, combine, what: str, p: int) -> Interval:
@@ -339,8 +338,8 @@ def to_decimal(x, digits: int) -> str:
     # n = midpoint * 10**digits = X * 5**digits / 2**s for X = a + b
     # and s = 1 - e - digits, rounded half up to an integer
     total, s = iv.a + iv.b, 1 - iv.e - digits
-    if s <= 0:
-        return decimal_string(total * 5**digits << -s, digits)
+    if s < 1:  # X * 2**(1 - s) is even, so the half added below shifts out
+        total, s = total << 1 - s, 1
     # |n| = top * 10**h + low with 0 <= low < 10**h, from P = |X| *
     # 5**(digits - h): P = T 2**(s+h) + R gives |X| 5**digits = T 10**h
     # 2**s + R 5**h, so top = T and low = (R 5**h + half) >> s, which
@@ -359,4 +358,4 @@ def to_decimal(x, digits: int) -> str:
     return "-" + text if total < 0 and (top or low) else text
 
 
-ZERO_REAL = CReal.from_dyadic(ZERO)
+ZERO_REAL = CReal.from_fraction(0)

@@ -1,12 +1,13 @@
 """Exact binary rationals m * 2**e with canonical (odd-or-zero) mantissas.
 
-These are the exact scalars of the library's leaves and of the views
-of interval ends (``Interval.lo`` and ``hi``); intervals compute on
-plain integers.  Addition, subtraction and multiplication are exact,
-and directed rounding is the only lossy operation.  Values are
-immutable and hash like the equal int or Fraction.  ``scaled_quotient``
-is the one directed rounding, the floor or ceiling of n * 2**s / d that
-every grid rounding and directed division of the library calls.  One
+These are the exact scalars of the views of interval ends
+(``Interval.lo`` and ``hi``) and of the points a caller passes; exact
+leaves hold ``Fraction``s, and intervals compute on plain integers.
+Addition, subtraction and multiplication are exact, and directed
+rounding is the only lossy operation.  Values are immutable and hash
+like the equal int or Fraction.  ``scaled_quotient`` is the one
+directed rounding, the floor or ceiling of n * 2**s / d that every
+grid rounding and directed division of the library calls.  One
 Karatsuba square root gives the integer roots: ``isqrt_floor``, the
 floor root, for ``Interval.sqrt``'s two ends and pi, and ``isqrt_rem``,
 the root and its remainder, as the recursion of ``isqrt_floor``.
@@ -214,9 +215,6 @@ class Dyadic:
         if shift >= 0:
             return self
         return Dyadic(scaled_quotient(self.mantissa, 1, shift, up), -k)
-
-
-ZERO = Dyadic(0)
 
 
 def scaled_quotient(n: int, d: int, s: int, up: bool) -> int:

@@ -373,7 +373,7 @@ class TestRealSqrt:
         assert abs(mid - sqrt_oracle(Fraction(2), 140)) <= Fraction(1, 1 << 119)
 
     def test_sqrt_of_tiny(self):
-        x = CReal.from_dyadic(Dyadic(1, -64))
+        x = CReal.from_fraction(Dyadic(1, -64).to_fraction())
         assert in_interval(real_sqrt(x).approx(80), Fraction(1, 1 << 32))
 
     def test_sqrt_of_negative_exhausts_budget(self):

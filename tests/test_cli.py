@@ -18,7 +18,7 @@ from exactreal.dyadic import Dyadic
 from exactreal.errors import EffortExhausted, ParseError
 from exactreal.expr import evaluate, parse
 from exactreal.interval import Interval
-from exactreal import algorithms, cli
+from exactreal import algorithms, cli, creal
 from exactreal.kleenean import DEFAULT_BUDGET, LazyKleenean, current_budget, effort_budget
 
 
@@ -215,6 +215,26 @@ class TestEvaluate:
         # sqrt(2) * 37/70 squared is 2 * 37**2 / 70**2
         lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
         assert lo * lo <= Fraction(2 * 37**2, 70**2) <= hi * hi
+
+    @pytest.mark.parametrize(
+        "src", ["sqrt(2) * 3.7", "sqrt(2) * -3.7", "-3.7 * sqrt(2)", "sqrt(2) * (0-3.7)"]
+    )
+    def test_signed_literal_factor_scales_without_interval_arithmetic(self, monkeypatch, src):
+        # a negated or subtracted literal folds into one exact leaf, so the
+        # product scales sqrt(2)'s interval, and the square root is the
+        # one node that refines
+        products, refined = [], []
+        mul, refine = Interval.__mul__, creal._refined
+        monkeypatch.setattr(Interval, "__mul__", lambda *args: products.append(args) or mul(*args))
+        monkeypatch.setattr(creal, "_refined", lambda *args: refined.append(args) or refine(*args))
+        iv = evaluate(parse(src)).approx(2000)
+        assert (len(products), len(refined)) == (0, 1)
+        assert iv.width() <= Dyadic(1, -2000)
+        # |sqrt(2) * 3.7| squared is 2 * 37**2 / 10**2
+        lo, hi = iv.lo.to_fraction(), iv.hi.to_fraction()
+        if "-" in src:
+            lo, hi = -hi, -lo
+        assert 0 < lo and lo * lo <= Fraction(2 * 37**2, 10**2) <= hi * hi
 
     def test_with_variable(self):
         self.check("x*(2-x)", Fraction(3, 4), env={"x": CReal.from_fraction(Fraction(1, 2))})

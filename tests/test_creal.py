@@ -1,6 +1,7 @@
 """Exact reals: accuracy contract, comparison, limits, rounding."""
 
 import random
+import time
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import floor, isqrt
@@ -54,9 +55,8 @@ class TestConstructors:
     def test_point_intervals(self):
         assert CReal.from_fraction(0).approx(10) == Interval.point(Dyadic(0))
         assert CReal.from_fraction(1).approx(500) == Interval.point(Dyadic(1))
-        assert CReal.from_dyadic(Dyadic(3, -1)).approx(5) == Interval.point(
-            Dyadic(3, -1)
-        )
+        leaf = CReal.from_fraction(Dyadic(3, -1).to_fraction())
+        assert leaf.approx(5) == Interval.point(Dyadic(3, -1))
 
     @pytest.mark.parametrize("value", [7, -3, Fraction("2.25"), Fraction("-0.5")])
     def test_dyadic_values_are_exact_leaves(self, value):
@@ -140,8 +140,10 @@ class TestInexactOperands:
 @pytest.mark.parametrize(
     "build, what",
     [
-        (lambda x: x + x, "a sum"),
-        (lambda x: x - x, "a difference"),
+        # an exact sum or difference folds into one leaf, so these two
+        # take an inexact operand
+        (lambda x: real_abs(x) + x, "a sum"),
+        (lambda x: real_abs(x) - x, "a difference"),
         (lambda x: x * x, "a product"),
         (lambda x: x / x, "a quotient"),
         (lambda x: real_max(x, x), "a maximum"),
@@ -177,6 +179,23 @@ class TestArithmetic:
         iv = (x - x).approx(100)
         assert in_interval(iv, Fraction(0))
         assert iv.width() <= Dyadic(1, -100)
+
+    def test_exact_sums_fold_into_one_leaf(self):
+        # 2,000 nested sum nodes would overflow the recursion of approx
+        x = CReal.from_fraction(Fraction(1, 10))
+        for _ in range(2000):
+            x = x + x
+        assert to_decimal(x, 1) == f"{2**2000 // 10}.{2**2000 % 10}"
+
+    def test_exact_products_stay_refined(self):
+        # folded, the 40th square's denominator would be 3**(2**40)
+        start = time.perf_counter()
+        x = CReal.from_fraction(Fraction(1, 3))
+        for _ in range(40):
+            x = x * x
+            assert time.perf_counter() - start < 1
+        assert to_decimal(x, 5) == "0.00000"
+        assert time.perf_counter() - start < 1
 
     def test_one_third(self):
         iv = (CReal.from_fraction(1) / CReal.from_fraction(3)).approx(10)
@@ -293,6 +312,17 @@ exact_scalars = st.one_of(
 )
 
 
+# the spellings of an exact scalar: itself, its leaf, and leaves that
+# a negation, difference or sum of exact leaves folds into
+spellings = {
+    "raw": lambda value, q: q,
+    "leaf": lambda value, q: CReal.from_fraction(value),
+    "-q": lambda value, q: -CReal.from_fraction(-value),
+    "0 - q": lambda value, q: 0 - CReal.from_fraction(-value),
+    "q + 0": lambda value, q: CReal.from_fraction(value) + 0,
+}
+
+
 class TestExactScalars:
     """A product or quotient with one exact operand, an int, a Fraction,
     a Dyadic or an exact leaf, scales the other operand's interval."""
@@ -302,14 +332,13 @@ class TestExactScalars:
         rationals,
         st.booleans(),
         exact_scalars,
-        st.booleans(),
+        st.sampled_from(sorted(spellings)),
         st.integers(min_value=0, max_value=300),
     )
-    def test_scaled_values_contain_the_value(self, a, x_exact, q, leaf, p):
+    def test_scaled_values_contain_the_value(self, a, x_exact, q, spelling, p):
         x = CReal.from_fraction(a) if x_exact else blurred(a)
         value = q.to_fraction() if isinstance(q, Dyadic) else Fraction(q)
-        if leaf:
-            q = CReal.from_dyadic(q) if isinstance(q, Dyadic) else CReal.from_fraction(q)
+        q = spellings[spelling](value, q)
         checks = [(x * q, a * value), (q * x, a * value)]
         if value:
             checks.append((x / q, a / value))
@@ -367,7 +396,7 @@ class TestLimit:
             assert in_interval(lim.approx(p), Fraction(2, 3))
 
     def test_powers_of_two_converge_to_zero(self):
-        lim = limit(lambda n: CReal.from_dyadic(Dyadic(1, -n)))
+        lim = limit(lambda n: CReal.from_fraction(Dyadic(1, -n).to_fraction()))
         iv = lim.approx(30)
         assert in_interval(iv, Fraction(0))
         assert iv.width() <= Dyadic(1, -30)
@@ -376,7 +405,7 @@ class TestLimit:
         # f(n) = floor(sqrt(2) * 2**(n+1)) / 2**(n+1), a fast Cauchy
         # sequence with limit sqrt(2)
         def f(n):
-            return CReal.from_dyadic(Dyadic(isqrt(2 << (2 * n + 2)), -(n + 1)))
+            return CReal.from_fraction(Dyadic(isqrt(2 << (2 * n + 2)), -(n + 1)).to_fraction())
 
         iv = limit(f).approx(50)
         # the oracle itself is only a 2**-80 lower approximation of sqrt(2)
@@ -428,7 +457,7 @@ class TestLimitRefine:
 
         def step(n, hint):
             calls.append((n, hint))
-            return CReal.from_dyadic(Dyadic(1, -n)), n
+            return CReal.from_fraction(Dyadic(1, -n).to_fraction()), n
 
         lim = limit_refine("seed", step)
         lim.approx(10)
@@ -441,7 +470,7 @@ class TestLimitRefine:
 
 class TestRounding:
     def test_round_nd_examples(self):
-        z = round_nd(CReal.from_dyadic(Dyadic(5, -1)))
+        z = round_nd(CReal.from_fraction(Dyadic(5, -1).to_fraction()))
         assert z in (2, 3)
         assert round_nd(CReal.from_fraction(0)) in (-1, 0, 1)
         assert round_nd(CReal.from_fraction(7)) in (6, 7, 8)
@@ -523,6 +552,9 @@ def decimal_cases(digits: int):
     yield Interval.point(Dyadic(5))
     yield Interval.point(Dyadic(-3, 7))
     yield Interval(Dyadic(-1, 1), Dyadic(3, 1))
+    # integer leaves, whose ends need not have odd mantissas
+    for n in (2, 1000, -8):
+        yield CReal.from_fraction(n).approx(0)
     for sign in (1, -1):
         # midpoints exactly half a unit of the last place off a decimal
         half = Dyadic(sign * (2 * rng.getrandbits(20) + 1) * 5 ** (digits + 1), -(digits + 1))
@@ -545,7 +577,7 @@ def decimal_cases(digits: int):
 
 
 @pytest.mark.parametrize(
-    "digits", [1, 2, 3, 299, 300, 301, 999, 1000, 1001, 2400, 2401, 5000]
+    "digits", [1, 2, 3, 299, 300, 301, 999, 1000, 1001, 2400, 2401, 4301, 5000]
 )
 def test_to_decimal_is_rounded_midpoint(digits):
     for iv in decimal_cases(digits):

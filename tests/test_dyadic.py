@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from exactreal import dyadic as dyadic_module
 from exactreal.dyadic import (
-    ZERO,
     Dyadic,
     decimal_string,
     div_directed,
@@ -21,6 +20,8 @@ from exactreal.dyadic import (
     scaled_quotient,
 )
 from exactreal.errors import ExponentOverflow
+
+ZERO = Dyadic(0)
 
 dyadics = st.builds(
     Dyadic,

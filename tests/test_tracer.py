@@ -32,6 +32,8 @@ def test_install_counts_and_uninstall_restores(tracing):
     try:
         value = expr.evaluate(expr.parse("sqrt(2) + max(1, abs(0-3)) / 7"))
         assert creal.to_decimal(value, 20) == "1.84278499094452362023"  # sqrt(2) + 3/7
+        # the query itself may make no Dyadic operation; this one is counted
+        assert dyadic.Dyadic(3, -1) + 1 == dyadic.Dyadic(5, -1)
         metrics = tracer.layer_metrics(queries=1)
     finally:
         tracer.uninstall()
