@@ -3,7 +3,9 @@
 Maximum, absolute value, real square root and pi (an exact Chudnovsky
 sum) as interval primitives, root finding by trisection, and the total
 nondeterministic complex square root whose branch-point case is
-handled by an invariant-guided refinement limit.
+handled by an invariant-guided refinement limit.  Exact values enter by
+``CReal.from_fraction``, and a power of two is a dyadic factor, as in
+``x / 2``: one exact ``_scaled`` node.
 """
 
 from __future__ import annotations
@@ -118,10 +120,9 @@ def real_pi() -> CReal:
 
 
 def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
-    """The unique zero of ``f`` on [a, b], exact ends (an int, a
-    ``Fraction`` or a ``Dyadic``), given f(a) < 0 < f(b) or f(a) > 0 >
-    f(b); the first step certifies which, and trisects -f in the second
-    case.
+    """The unique zero of ``f`` on [a, b], for exact ends a < b, given
+    f(a) < 0 < f(b) or f(a) > 0 > f(b); the first step certifies which,
+    and trisects g = -f in the second case by comparing in reverse.
 
     With g(a) < 0 < g(b), each step moves one bracket end to a
     trisection point a1 < b1 by certifying g(a1) < 0 or 0 < g(b1), so
@@ -132,10 +133,7 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
     1.7 (n + log2((b - a)/d)) steps; when n plus the bits of that width
     exceed the budget, ``EffortExhausted`` comes before any step.
     """
-    for end in (a, b):
-        if not isinstance(end, (int, Fraction, Dyadic)):
-            raise TypeError(f"{type(end).__name__} is not an exact bracket end")
-    a, b = (v.to_fraction() if isinstance(v, Dyadic) else Fraction(v) for v in (a, b))
+    a, b = (CReal.from_fraction(end).value for end in (a, b))
     if not a < b:
         raise ValueError("invalid bracket: need a < b")
 
@@ -152,15 +150,15 @@ def ivt_trisect(f: Callable[[CReal], CReal], a, b) -> CReal:
             rising = less_than(fa, ZERO_REAL) & less_than(ZERO_REAL, fb)
             falling = less_than(ZERO_REAL, fa) & less_than(fb, ZERO_REAL)
             sign = 1 if select(rising, falling) is Branch.LEFT else -1
-        g = f if sign > 0 else (lambda x: -f(x))
+        lt = less_than if sign > 0 else (lambda u, v: less_than(v, u))
         while (b - a) << n > d:
             while b - a < 64:
                 a, b, d = a << 4, b << 4, d << 4
             t = (b - a) // 3
-            ga, gb = g(point(a + t, d)), g(point(b - t, d))
+            fa, fb = f(point(a + t, d)), f(point(b - t, d))
             # certification effort grows smoothly with the step count
             winner, effort = _select_with_effort(
-                (less_than(ga, ZERO_REAL), less_than(ZERO_REAL, gb)), max(0, effort - 1)
+                (lt(fa, ZERO_REAL), lt(ZERO_REAL, fb)), max(0, effort - 1)
             )
             if winner == 0:
                 a += t
@@ -180,7 +178,7 @@ def heron(x, n: int) -> CReal:
     from 1: within 2**-2**n of the root for x in [0.25, 2]."""
     x, h = CReal._coerce(x), CReal.from_fraction(1)
     for _ in range(n):
-        h = (h + x / h).scale2(-1)
+        h = (h + x / h) / 2
     return h
 
 
@@ -211,7 +209,7 @@ def sqrt_scale(x) -> tuple[int, CReal]:
             for cand in (z, z + 1, z - 1):
                 s = iv.scale2(2 * cand)
                 if s.lo >= _SCALE_LO and s.hi <= _SCALE_HI:
-                    return cand, x.scale2(2 * cand)
+                    return cand, x * Fraction(4) ** cand
 
 
 def real_sqrt(x) -> CReal:
@@ -275,15 +273,15 @@ def csqrt_nonzero(z: Complex) -> Complex:
     )
     m = real_sqrt(a * a + b * b)
     if case < 2:  # b < 0 or b > 0: v takes the sign of b
-        u = real_sqrt((m + a).scale2(-1))
-        v = real_sqrt((m - a).scale2(-1))
+        u = real_sqrt((m + a) / 2)
+        v = real_sqrt((m - a) / 2)
         return Complex(u, -v if case == 0 else v)
     if case == 2:  # a < 0: v > 0 is bounded away from zero
-        v = real_sqrt((m - a).scale2(-1))
-        return Complex(b / v.scale2(1), v)
+        v = real_sqrt((m - a) / 2)
+        return Complex(b / (2 * v), v)
     # a > 0: u > 0 is bounded away from zero
-    u = real_sqrt((m + a).scale2(-1))
-    return Complex(u, b / u.scale2(1))
+    u = real_sqrt((m + a) / 2)
+    return Complex(u, b / (2 * u))
 
 
 def csqrt(z: Complex) -> Complex:

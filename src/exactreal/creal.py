@@ -4,12 +4,13 @@ A ``CReal`` maps a requested accuracy ``p`` to a dyadic interval of
 width at most ``2**-p`` containing the represented value.  Arithmetic
 is precision iteration: operands are evaluated at geometrically
 increasing internal accuracy until the combined interval meets the
-requested width.  Exact values enter by ``from_fraction`` alone and
-keep their ``Fraction``: a negation, sum or difference of exact leaves
-is one exact leaf, and a product with an exact operand, or a quotient
-by one, scales the other operand's interval once.  Comparison is
-semi-decidable and returns a lazy Kleenean; equality on the diagonal
-stays bottom forever.
+requested width.  Exact values enter by ``from_fraction``, the one type
+rule, and keep their ``Fraction``, so exact negations, sums and
+differences fold into one leaf.  Every node is an exact leaf, a
+``_scaled`` node (a product, quotient or negation with an exact factor,
+exact when the factor is dyadic), ``_refined``, ``limit`` or pi's
+interval primitive.  Comparison is semi-decidable and returns a lazy
+Kleenean; equality on the diagonal stays bottom forever.
 """
 
 from __future__ import annotations
@@ -79,18 +80,21 @@ def _by_divisor(x: CReal, y: CReal, what: str) -> CReal | None:
     return None
 
 
-def _scaled(x: CReal, factor: Fraction, what: str) -> CReal:
-    """``x * factor`` as a node that asks x once, multiplies both ends
-    by the numerator and rounds each outward onto the 2**-(p+2) grid by
-    one ``scaled_quotient`` by the odd part of the denominator, a shift
-    when that part is 1.  With factor = num/den * 2**-twos and den odd,
-    |factor| < 2**g for g = len(num) - len(den) + 1 - twos, so x at
-    p + 2 + max(0, g) bits scales to a width below 2**-(p+2), and the
-    two roundings add less than 2**-(p+1)."""
+def _scaled(x: CReal, factor: int | Fraction, what: str) -> CReal:
+    """``x * factor`` as a node that asks x once and multiplies both
+    ends by the numerator.  With factor = num/den * 2**-twos and den
+    odd, a dyadic factor (den = 1) is exact: |num| <= 2**len(|num| - 1),
+    so x at p + len(|num| - 1) - twos bits scales to a width of at most
+    2**-p by a shift.  Any other factor rounds each end outward onto the
+    2**-(p+2) grid by one ``scaled_quotient`` by den: |factor| < 2**g for
+    g = len(num) - len(den) + 1 - twos, so x at p + 2 + max(0, g) bits
+    scales to a width below 2**-(p+2), and the roundings add < 2**-(p+1)."""
     num, den = factor.numerator, factor.denominator
     twos = (den & -den).bit_length() - 1
     den >>= twos
-    extra = 2 + max(0, num.bit_length() - den.bit_length() + 1 - twos)
+    extra = (abs(num) - 1).bit_length() - twos
+    if den > 1:
+        extra = 2 + max(0, num.bit_length() - den.bit_length() + 1 - twos)
 
     def fn(p: int) -> Interval:
         q = p + extra
@@ -100,6 +104,8 @@ def _scaled(x: CReal, factor: Fraction, what: str) -> CReal:
         a, b = iv.a * num, iv.b * num
         if num < 0:
             a, b = b, a
+        if den == 1:
+            return from_ints(a, b, iv.e - twos)
         s = iv.e - twos + p + 2
         lo = scaled_quotient(a, den, s, up=False)
         return from_ints(lo, scaled_quotient(b, den, s, up=True), -(p + 2))
@@ -137,10 +143,15 @@ class CReal:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_fraction(fr: int | Fraction) -> "CReal":
-        """The exact leaf of ``fr``: cached at every accuracy when the
-        denominator is a power of two, else one floor division per
-        precision."""
+    def from_fraction(fr: int | Fraction | Dyadic) -> "CReal":
+        """The exact leaf of an int, a ``Fraction`` or a ``Dyadic``, and the
+        one type rule for exact values: any other type raises TypeError.
+        Cached at every accuracy when the denominator is a power of two,
+        else one floor division per precision."""
+        if not isinstance(fr, (int, Fraction)):
+            if not isinstance(fr, Dyadic):
+                raise TypeError(f"{type(fr).__name__} is not an exact real")
+            fr = fr.to_fraction()
         num, den = fr.numerator, fr.denominator
 
         def fn(p: int) -> Interval:
@@ -158,14 +169,8 @@ class CReal:
 
     @staticmethod
     def _coerce(value) -> "CReal":
-        """An exact operand as a CReal; any other type raises TypeError."""
-        if isinstance(value, CReal):
-            return value
-        if isinstance(value, Dyadic):
-            value = value.to_fraction()
-        if isinstance(value, (int, Fraction)):
-            return CReal.from_fraction(value)
-        raise TypeError(f"{type(value).__name__} is not an exact real")
+        """A real as itself, anything else through ``from_fraction``."""
+        return value if isinstance(value, CReal) else CReal.from_fraction(value)
 
     __add__, __radd__ = _operator(lambda a, b, q: a + b, "refining a sum", fold=True)
     __sub__, __rsub__ = _operator(lambda a, b, q: a - b, "refining a difference", fold=True)
@@ -177,13 +182,7 @@ class CReal:
     def __neg__(self):
         if type(self) is _Exact:
             return CReal.from_fraction(-self.value)
-        return CReal(lambda p: -self.approx(p))
-
-    def scale2(self, k: int) -> "CReal":
-        """Exact multiplication by ``2**k``."""
-        if k == 0:
-            return self
-        return CReal(lambda p: self.approx(max(0, p + k)).scale2(k))
+        return _scaled(self, -1, "refining a negation")
 
 
 class _Exact(CReal):
@@ -316,7 +315,7 @@ def round_nd(x) -> int:
 
 def dyadic_approx(x, n: int) -> int:
     """Some integer z with |x - z * 2**-n| <= 2**-n."""
-    return round_nd(CReal._coerce(x).scale2(n))
+    return round_nd(CReal._coerce(x) * Fraction(2) ** n)
 
 
 def bits_for_digits(digits: int) -> int:
@@ -327,6 +326,8 @@ def bits_for_digits(digits: int) -> int:
 
 def to_decimal(x, digits: int) -> str:
     """Decimal rendering with |x - printed| <= 10**-digits."""
+    if not isinstance(digits, int):
+        raise TypeError(f"digits must be an int, not {type(digits).__name__}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     bits = bits_for_digits(digits)

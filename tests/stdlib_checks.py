@@ -73,6 +73,26 @@ ROWS = [
     ),
     # a negated literal folds into one exact leaf, which scales sqrt(2)
     (["eval", "sqrt(2) * -3.7", "--digits", "2000"], 20, 0, lambda: [-sqrt(2) * Decimal("3.7")]),
+    # unary minus on an inexact real: the factor -1, asked at p and not
+    # rounded ("--" ends the options, so "-sqrt(2)" is the expression)
+    (["eval", "--digits", "2000", "--", "-sqrt(2)"], 20, 0, lambda: [-sqrt(2)]),
+    # two dyadic factors, each an exact shift of the other operand's interval
+    (
+        ["eval", "sqrt(3) / 16 * 1.25", "--digits", "2000"],
+        20,
+        0,
+        lambda: [sqrt(3) / 16 * Decimal("1.25")],
+    ),
+    # im < 0: the root's imaginary part is the negation of v
+    (
+        ["eval", "csqrt(0-1, 0-1)", "--digits", "300"],
+        20,
+        0,
+        lambda: [
+            ((sqrt(2) - 1) / 2).sqrt(),
+            -((sqrt(2) + 1) / 2).sqrt(),
+        ],
+    ),
     # a negative quotient by an exact divisor, printed with its sign
     (["eval", "0-sqrt(5)/3", "--digits", "400"], 20, 0, lambda: [-sqrt(5) / 3]),
     # radicands that are powers of four past the split size: isqrt_floor's exact comparison

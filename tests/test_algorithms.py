@@ -600,3 +600,23 @@ class TestComplexSqrt:
     def test_total_generic(self):
         w = csqrt(Complex(3, 4))
         assert_squares_to(w, Fraction(3), Fraction(4), 100)
+
+    @pytest.mark.parametrize(
+        "re,im",
+        [
+            (Fraction(-1), Fraction(-1)),
+            (Fraction(-1, 3), Fraction(-1, 7)),
+            (Fraction(-2), Fraction(-1, 1000)),
+            (Fraction(-1, 10**6), Fraction(-1, 10**6)),
+        ],
+    )
+    def test_one_root_under_random_select(self, random_select, re, im):
+        # two sign cases hold for each z, and they give opposite roots: every
+        # answer must come from the one root pinned at the first nonzero term
+        w = csqrt(Complex(re, im))
+        lo, hi = None, None
+        for p in range(0, 295, 7):
+            iv = w.re.approx(p)
+            a, b = iv.lo.to_fraction(), iv.hi.to_fraction()
+            lo, hi = (a, b) if lo is None else (max(lo, a), min(hi, b))
+            assert lo <= hi, f"approx({p}) = {iv} misses the earlier answers"

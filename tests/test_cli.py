@@ -697,17 +697,36 @@ class TestCli:
         assert all(ln.endswith("ok") for ln in table)
 
 
-def run_module(*argv):
+def run_python(*argv):
+    """``python *argv`` with this checkout's ``src`` first on the path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "exactreal", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_module(*argv):
+    return run_python("-m", "exactreal", *argv)
+
+
+def test_import_loads_no_dataclasses():
+    # the import is part of every command's start-up time: the package
+    # loads no dataclasses, and with it no inspect, ast or tokenize
+    code = (
+        "import sys; before = set(sys.modules); import exactreal.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "exactreal.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "tokenize"}
 
 
 def test_python_m_exactreal_eval():

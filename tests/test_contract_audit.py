@@ -199,22 +199,38 @@ def test_csqrt_around_zero(audit, re, im):
     square.im.approx(200)
 
 
-@pytest.mark.parametrize(
-    "f,a,b,root",
-    [
-        # increasing, through sqrt: the root is 1/4
-        (lambda x: algorithms.real_sqrt(x) - Fraction(1, 2), 0, 1, Fraction(1, 4)),
-        # decreasing, with a root that no trisection point hits
-        (lambda x: Fraction(1, 3) - x * 7, -1, 1, Fraction(1, 21)),
-        # the root is a grid point: a step whose point is the root compares
-        # an exact zero forever there, so the other candidate must win
-        (lambda x: x - Fraction(1, 2), 0, 1, Fraction(1, 2)),
-        # decimal ends over one denominator: most points are not dyadic
-        (lambda x: x - Fraction(3, 10), Fraction(1, 10), Fraction(7, 10), Fraction(3, 10)),
-    ],
-    ids=["increasing", "decreasing", "grid-root", "decimal-bracket"],
-)
-def test_ivt(audit, f, a, b, root):
+IVT_ROWS = {
+    # increasing, through sqrt: the root is 1/4
+    "increasing": (lambda x: algorithms.real_sqrt(x) - Fraction(1, 2), 0, 1, Fraction(1, 4)),
+    # decreasing, with a root that no trisection point hits
+    "decreasing": (lambda x: Fraction(1, 3) - x * 7, -1, 1, Fraction(1, 21)),
+    # the root is a grid point: a step whose point is the root compares
+    # an exact zero forever there, so the other candidate must win
+    "grid-root": (lambda x: x - Fraction(1, 2), 0, 1, Fraction(1, 2)),
+    # decimal ends over one denominator: most points are not dyadic
+    "decimal-bracket": (
+        lambda x: x - Fraction(3, 10),
+        Fraction(1, 10),
+        Fraction(7, 10),
+        Fraction(3, 10),
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(IVT_ROWS))
+def test_ivt(audit, row):
+    f, a, b, root = IVT_ROWS[row]
     node = audit.expect(ivt_trisect(f, a, b), contains(root))
     for p in [*LADDER, 300]:
         node.approx(p)
+
+
+# the same rows, with select drawing among its TRUE candidates
+@pytest.mark.parametrize("re,im", CSQRT_GRID)
+def test_csqrt_around_zero_under_random_select(audit, random_select, re, im):
+    test_csqrt_around_zero(audit, re, im)
+
+
+@pytest.mark.parametrize("row", ["increasing", "decreasing"])
+def test_ivt_under_random_select(audit, random_select, row):
+    test_ivt(audit, row)

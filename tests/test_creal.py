@@ -121,9 +121,10 @@ class TestInexactOperands:
         "round_nd": round_nd,
         "dyadic_approx": lambda v: dyadic_approx(v, 4),
         "to_decimal": lambda v: to_decimal(v, 5),
+        "from_fraction": CReal.from_fraction,
     }
 
-    @pytest.mark.parametrize("value", [0.5, "2"])
+    @pytest.mark.parametrize("value", [0.5, "2", None])
     @pytest.mark.parametrize("name", list(BUILDERS))
     def test_refused_at_the_call(self, name, value):
         with pytest.raises(TypeError, match=type(value).__name__):
@@ -149,10 +150,10 @@ class TestInexactOperands:
         (lambda x: real_max(x, x), "a maximum"),
         (real_abs, "an absolute value"),
         (real_sqrt, "a square root"),
-        # an exact operand scales the other one: x * 3 asks |x| at 66 bits,
-        # and x / 0.25 at 67
-        (lambda x: real_abs(x) * 3, "a product"),
-        (lambda x: real_abs(x) / Fraction(1, 4), "a quotient"),
+        # a non-dyadic exact operand scales the other one and rounds:
+        # x * 3.7 and x / (10/37) each ask |x| at 67 bits
+        (lambda x: real_abs(x) * Fraction(37, 10), "a product"),
+        (lambda x: real_abs(x) / Fraction(10, 37), "a quotient"),
     ],
     ids=[
         "sum", "difference", "product", "quotient", "maximum", "abs", "sqrt",
@@ -275,8 +276,12 @@ class TestArithmetic:
         assert x.approx(80) == fine
 
     def test_scale2(self):
-        x = (CReal.from_fraction(1) / 3).scale2(4)
-        assert in_interval(x.approx(30), Fraction(16, 3))
+        # a power of two is a dyadic factor: x * 16 asks x at p + 4 bits
+        # and shifts its answer, with no rounding
+        x = CReal.from_fraction(1) / 3
+        iv = (x * 16).approx(30)
+        assert in_interval(iv, Fraction(16, 3))
+        assert x._best_p == 34 and iv == x.approx(34).scale2(4)
 
 
 def blurred(value: Fraction) -> CReal:
@@ -346,6 +351,27 @@ class TestExactScalars:
             iv = real.approx(p)
             assert in_interval(iv, exact)
             assert iv.width() <= Dyadic(1, -p)
+
+    # dyadic factor -> len(|num| - 1) - twos, the bits x is asked past p
+    DYADIC = {3: 2, -1: 0, 16: 4, Fraction(5, 4): 1, Fraction(-1, 1024): -10}
+
+    @pytest.mark.parametrize("p", [0, 9, 200])
+    @pytest.mark.parametrize("factor", list(DYADIC), ids=str)
+    def test_dyadic_factor_scales_exactly(self, factor, p):
+        # x is asked once, and its answer comes back times the factor,
+        # with no rounding
+        asked = []
+        inner = blurred(Fraction(1, 3))
+        x = CReal(lambda q: asked.append(q) or inner.approx(q))
+        iv = (x * factor).approx(p)
+        assert asked == [max(0, p + self.DYADIC[factor])]
+        lo, hi = sorted(end.to_fraction() * factor for end in (inner._best.lo, inner._best.hi))
+        assert (iv.lo.to_fraction(), iv.hi.to_fraction()) == (lo, hi)
+
+    def test_negation_is_the_factor_minus_one(self):
+        inner = blurred(Fraction(1, 3))
+        iv = (-inner).approx(50)
+        assert inner._best_p == 50 and iv == -inner.approx(50)
 
     @pytest.mark.parametrize("zero", [0, Fraction(0), Dyadic(0), "leaf"])
     @pytest.mark.parametrize("x_exact", [True, False])
@@ -508,6 +534,11 @@ class TestDecimalOutput:
     def test_digits_validation(self):
         with pytest.raises(ValueError):
             to_decimal(CReal.from_fraction(1), 0)
+
+    @pytest.mark.parametrize("digits", [2.5, "3", None])
+    def test_digits_must_be_an_int(self, digits):
+        with pytest.raises(TypeError, match="digits"):
+            to_decimal(real_sqrt(2), digits)
 
     @given(rationals, st.integers(min_value=1, max_value=12))
     def test_contract(self, fr, digits):
